@@ -25,7 +25,6 @@ from .occurrences import (
     b_trace,
     beta,
     occurrence_path,
-    predict_depth_hyp,
 )
 from .superpose import is_full, predict_depth_full, predict_depth_general, superpose
 from .terms import (
@@ -111,7 +110,6 @@ __all__ = [
     "predict_depth_full",
     "predict_depth_full_hyp",
     "predict_depth_general",
-    "predict_depth_hyp",
     "render_hyp",
     "render_signature",
     "render_term",

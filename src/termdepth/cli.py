@@ -71,7 +71,7 @@ def _load_term(args, sig: Signature) -> Term:
     if args.term is None and args.expr is None:
         raise ValueError("a term file or --expr is required")
     text = _read(args.term) if args.term is not None else args.expr
-    return parse_term(text.strip(), sig)
+    return parse_term(text, sig)
 
 
 def _bool_text(value: bool) -> str:
@@ -102,13 +102,25 @@ def _cmd_depth(args) -> OutputRecord:
     return OutputRecord("depth", inputs, result, text_lines=lines)
 
 
+def _result_record(command: str, inputs: dict, term: Term, predicted: int) -> OutputRecord:
+    """The built term, its measured depth, the prediction and whether they agree."""
+    measured = depth(term)
+    agree = measured == predicted
+    result = {"term": render_term(term), "depth": measured, "predicted": predicted, "agree": agree}
+    lines = [
+        f"term: {result['term']}",
+        f"depth: {measured}",
+        f"predicted: {predicted}",
+        f"agree: {_bool_text(agree)}",
+    ]
+    return OutputRecord(command, inputs, result, text_lines=lines)
+
+
 def _cmd_compose(args) -> OutputRecord:
     sig = _load_signature(args)
     outer = parse_term(args.outer, sig)
     ts = [parse_term(text, sig) for text in args.args]
     n = args.n if args.n is not None else arity_bound(outer)
-    if len(ts) != n:
-        raise ValueError(f"expected {n} argument terms, got {len(ts)}")
     inputs = {
         "signature": render_signature(sig),
         "outer": render_term(outer),
@@ -122,22 +134,7 @@ def _cmd_compose(args) -> OutputRecord:
             {"predicted": predicted},
             text_lines=[f"predicted: {predicted}"],
         )
-    composed = superpose(outer, ts, n)
-    measured = depth(composed)
-    agree = measured == predicted
-    result = {
-        "term": render_term(composed),
-        "depth": measured,
-        "predicted": predicted,
-        "agree": agree,
-    }
-    lines = [
-        f"term: {result['term']}",
-        f"depth: {measured}",
-        f"predicted: {predicted}",
-        f"agree: {_bool_text(agree)}",
-    ]
-    return OutputRecord("compose", inputs, result, text_lines=lines)
+    return _result_record("compose", inputs, superpose(outer, ts, n), predicted)
 
 
 def _cmd_apply(args) -> OutputRecord:
@@ -149,23 +146,7 @@ def _cmd_apply(args) -> OutputRecord:
         "hyp": render_hyp(h),
         "term": render_term(t),
     }
-    image = apply_hyp(h, t)
-    measured = depth(image)
-    predicted = b_of(h, t)
-    agree = measured == predicted
-    result = {
-        "term": render_term(image),
-        "depth": measured,
-        "predicted": predicted,
-        "agree": agree,
-    }
-    lines = [
-        f"term: {result['term']}",
-        f"depth: {measured}",
-        f"predicted: {predicted}",
-        f"agree: {_bool_text(agree)}",
-    ]
-    return OutputRecord("apply", inputs, result, text_lines=lines)
+    return _result_record("apply", inputs, apply_hyp(h, t), b_of(h, t))
 
 
 def _cmd_check(args) -> OutputRecord:

@@ -4,8 +4,8 @@ For the i-th variable occurrence of a term (in yield order) the occurrence
 path is the chain of subterms from that leaf up to the root.  Summing, for
 each step, the per-position depth of the image of the symbol entered gives
 an occurrence score; ``b_of`` takes the maximum score over occurrences
-whose root-level contribution is nonzero.  ``predict_depth_hyp`` uses that
-maximum as a prediction of ``depth(apply_hyp(h, t))``.
+whose root-level contribution is nonzero, and is the paper's prediction of
+``depth(apply_hyp(h, t))``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "b_trace",
     "beta",
     "occurrence_path",
-    "predict_depth_hyp",
 ]
 
 
@@ -118,6 +117,12 @@ def _position_depths(h: Hypersubstitution) -> dict[str, tuple[int, ...]]:
 def b_of(h: Hypersubstitution, t: Term) -> int:
     """Maximum ``b_sum`` over occurrences whose root-level step is nonzero, else 0.
 
+    The occurrence-sum prediction of ``depth(apply_hyp(h, t))``.  Exact
+    whenever every image keeps all the variables of its symbol and no image
+    is a bare variable; images that drop variables or project can make the
+    prediction diverge from the measured depth (the verification suite
+    reports such cases as counterexamples).
+
     Computed in one pass over the tree positions of ``t`` by accumulating
     per-step contributions top-down; this equals the maximum of
     ``b_trace(h, t, i).b_sum`` over all qualifying i without building one
@@ -142,13 +147,3 @@ def b_of(h: Hypersubstitution, t: Term) -> int:
             )
     return best
 
-
-def predict_depth_hyp(h: Hypersubstitution, t: Term) -> int:
-    """Occurrence-sum prediction of ``depth(apply_hyp(h, t))``.
-
-    Exact whenever every image keeps all the variables of its symbol and no
-    image is a bare variable; images that drop variables or project can
-    make the prediction diverge from the measured depth (the verification
-    suite reports such cases as counterexamples).
-    """
-    return b_of(h, t)

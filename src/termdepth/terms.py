@@ -144,7 +144,7 @@ class App(Term):
         _fill(self, symbol, args)
 
     def __repr__(self) -> str:
-        text = _to_text(self)
+        text = render_term(self)
         if len(text) > 120:
             text = text[:117] + "..."
         return f"<term {text}>"
@@ -215,9 +215,13 @@ def _structurally_equal(a: Term, b: Term) -> bool:
     return True
 
 
-def _to_text(t: Term) -> str:
-    # Canonical text (textio.render_term wraps this); kept here so repr works
-    # without importing the parser module.
+def render_term(t: Term) -> str:
+    """Canonical text for ``t``: no whitespace, comma-separated arguments.
+
+    ``parse_term(render_term(t), sig) == t`` for every term over ``sig``.
+    Public as ``textio.render_term``; defined here so ``repr`` works
+    without importing the parser module.
+    """
     parts: list[str] = []
     stack: list[object] = [t]
     while stack:

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from .hypersub import Hypersubstitution
-from .terms import Signature, Term, Var, _app, arity_bound
+from .terms import _RESERVED_NAME, _SYMBOL_NAME, Signature, Term, Var, _app, arity_bound, render_term
 
 __all__ = [
     "ParseError",
@@ -35,8 +35,6 @@ __all__ = [
 ]
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_SYMBOL_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_RESERVED_NAME = re.compile(r"x[0-9]+\Z")
 _WHITESPACE = " \t\r\n"
 
 
@@ -64,6 +62,16 @@ class ParseError(ValueError):
 def _byte_span(text: str, start: int, end: int) -> SourceSpan:
     # Positions are tracked in characters while parsing; spans report bytes.
     return SourceSpan(len(text[:start].encode()), len(text[:end].encode()))
+
+
+def _read_int(text: str, start: int, end: int, what: str) -> int:
+    """The ASCII digits ``text[start:end]`` as an integer."""
+    try:
+        return int(text[start:end])
+    except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
+        raise ParseError(
+            f"{what} has too many digits ({end - start})", _byte_span(text, start, end)
+        ) from None
 
 
 def _skip_ws(text: str, pos: int) -> int:
@@ -95,7 +103,7 @@ def _parse_term_from(text: str, pos: int, sig: Signature) -> tuple[Term, int]:
                     f"malformed variable {token!r}: index must not start with 0",
                     _byte_span(text, start, pos),
                 )
-            term: Term = Var(int(token[1:]))
+            term: Term = Var(_read_int(text, start + 1, pos, "variable index"))
         else:
             arity = sig.symbols.get(token)
             if arity is None:
@@ -168,8 +176,10 @@ def parse_signature(text: str) -> Signature:
         lead = len(line) - len(line.lstrip())
         span = _byte_span(text, offset + lead, offset + lead + len(stripped))
         name, sep, arity_text = stripped.partition("/")
+        arity_start = offset + lead + len(name) + len(sep) + len(arity_text) - len(arity_text.lstrip())
         name = name.strip()
         arity_text = arity_text.strip()
+        arity_end = arity_start + len(arity_text)
         if not sep:
             raise ParseError("expected 'name/arity'", span)
         if not _SYMBOL_NAME.match(name):
@@ -178,11 +188,14 @@ def parse_signature(text: str) -> Signature:
             raise ParseError(f"symbol name {name!r} is reserved for variables", span)
         if name in table:
             raise ParseError(f"duplicate operation symbol {name!r}", span)
-        if not arity_text.isdigit():
-            raise ParseError(f"arity of {name!r} must be a positive integer", span)
-        arity = int(arity_text)
+        if not (arity_text.isascii() and arity_text.isdigit()):
+            raise ParseError(
+                f"arity of {name!r} must be a positive integer",
+                _byte_span(text, arity_start, arity_end),
+            )
+        arity = _read_int(text, arity_start, arity_end, f"arity of {name!r}")
         if arity < 1:
-            raise ParseError(f"arity of {name!r} must be >= 1", span)
+            raise ParseError(f"arity of {name!r} must be >= 1", _byte_span(text, arity_start, arity_end))
         table[name] = arity
     if not table:
         end = len(text.encode())
@@ -228,30 +241,6 @@ def parse_hyp(text: str, sig: Signature) -> Hypersubstitution:
         end = len(text.encode())
         raise ParseError(f"missing image(s) for: {', '.join(missing)}", SourceSpan(end, end))
     return Hypersubstitution(sig, images)
-
-
-def render_term(t: Term) -> str:
-    """Canonical text for ``t``: no whitespace, comma-separated arguments.
-
-    ``parse_term(render_term(t), sig) == t`` for every term over ``sig``.
-    """
-    parts: list[str] = []
-    stack: list[object] = [t]
-    while stack:
-        node = stack.pop()
-        if type(node) is str:
-            parts.append(node)
-        elif type(node) is Var:
-            parts.append(f"x{node.index}")
-        else:
-            parts.append(node.symbol + "(")  # type: ignore[union-attr]
-            stack.append(")")
-            args = node.args  # type: ignore[union-attr]
-            for i in range(len(args) - 1, -1, -1):
-                stack.append(args[i])
-                if i:
-                    stack.append(",")
-    return "".join(parts)
 
 
 def render_signature(sig: Signature) -> str:

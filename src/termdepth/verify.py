@@ -1,9 +1,9 @@
 """Randomized self-checks of the depth predictors.
 
-Generators build random signatures, terms and hypersubstitutions; a trial
-runner per named law compares the closed-form prediction against direct
-construction and measurement, greedily shrinks every failing case, and
-reports it as a replayable :class:`Discrepancy`.
+Generators build random signatures, terms and hypersubstitutions; a table
+of named laws says how each law draws a trial and compares the closed-form
+prediction against direct construction and measurement.  Every failing case
+is greedily shrunk and reported as a replayable :class:`Discrepancy`.
 
 Randomness is CPython's Mersenne Twister (``random.Random``).  Every trial
 draws from its own stream seeded with the string ``"<seed>:<trial>"``, so
@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .hypersub import (
     Hypersubstitution,
@@ -26,7 +26,7 @@ from .hypersub import (
     is_full_hyp,
     predict_depth_full_hyp,
 )
-from .occurrences import predict_depth_hyp
+from .occurrences import b_of
 from .superpose import is_full, predict_depth_full, predict_depth_general, superpose
 from .terms import App, Signature, Term, Var, _app, depth, variables
 from .textio import render_hyp, render_signature, render_term
@@ -43,8 +43,6 @@ __all__ = [
     "gen_term",
     "trial_stream",
 ]
-
-KINDS = ("thm2.3", "thm3.3", "cor4.5", "cor4.6", "thm5.1", "lemma2.2", "lemma4.2")
 
 # Chance to emit a leaf while depth budget remains; biased low so terms stay
 # bushy and max-expressions hit ties.
@@ -357,194 +355,151 @@ def _greedy_shrink(slots: Slots, fails: Callable[[Slots], bool]) -> Slots:
 
 
 # ---------------------------------------------------------------------------
-# Trial runners
+# The laws
 
-Measure = Callable[[Slots], tuple[int, int]]
+@dataclass(frozen=True)
+class _Law:
+    """One checkable law.
 
+    ``generate`` draws a trial's slots from its stream; the slot order and
+    the draw order are the replay contract of the law's seed tokens.
+    ``measure`` gives (predicted, actual).  ``valid``, when set, is the
+    domain every trial and shrink candidate must stay inside.  ``shape``,
+    when set, is the signature predicate the law needs and what it needs,
+    in words.
+    """
 
-def _guarded(predicate: Callable[[Slots], bool]) -> Callable[[Slots], bool]:
-    def run(slots: Slots) -> bool:
+    generate: Callable[[GenConfig, Signature, random.Random], Slots]
+    measure: Callable[[Signature, Slots], tuple[int, int]]
+    valid: Callable[[Slots], bool] | None = None
+    shape: tuple[Callable[[Signature], bool], str] | None = None
+
+    def fails(self, sig: Signature, slots: Slots) -> bool:
+        """Whether a shrink candidate is still a counterexample inside the
+        law's domain; one a predictor rejects is not."""
         try:
-            return predicate(slots)
+            if self.valid is not None and not self.valid(slots):
+                return False
+            predicted, actual = self.measure(sig, slots)
         except ValueError:
             return False
-
-    return run
-
-
-def _report(
-    kind: str,
-    sig: Signature,
-    slots: Slots,
-    fails: Callable[[Slots], bool],
-    measure: Measure,
-    token: str,
-) -> Discrepancy:
-    slots = _greedy_shrink(slots, fails)
-    predicted, actual = measure(slots)
-    inputs = {"signature": render_signature(sig)}
-    for key, value in slots.items():
-        if isinstance(value, Hypersubstitution):
-            inputs[key] = render_hyp(value)
-        else:
-            inputs[key] = render_term(value)  # type: ignore[arg-type]
-    return Discrepancy(kind=kind, inputs=inputs, predicted=predicted, actual=actual, seed_state=token)
+        return predicted != actual
 
 
-def _maybe_report(
-    kind: str,
-    sig: Signature,
-    slots: Slots,
-    measure: Measure,
-    token: str,
-    valid: Callable[[Slots], bool] | None = None,
-) -> Discrepancy | None:
-    # The generated trial itself is measured unguarded: if a generator ever
-    # produces inputs a predictor rejects, that is a bug worth a loud error,
-    # not a silently passing trial.
-    if valid is not None and not valid(slots):
-        raise RuntimeError(f"{kind}: generator produced an invalid trial")
-    predicted, actual = measure(slots)
-    if predicted == actual:
-        return None
-
-    def mismatch(sl: Slots) -> bool:
-        if valid is not None and not valid(sl):
-            return False
-        p, a = measure(sl)
-        return p != a
-
-    return _report(kind, sig, slots, _guarded(mismatch), measure, token)
+def _full_term(cfg: GenConfig, sig: Signature, rng: random.Random) -> Term:
+    return gen_full_term(cfg, sig, rng, depth=rng.randint(1, max(1, cfg.max_depth)))
 
 
-def _run_thm23(cfg: GenConfig, sig: Signature, rng: random.Random, token: str):
-    n = sig.common_arity()
-    assert n is not None
-    slots: Slots = {"s": gen_full_term(cfg, sig, rng, depth=rng.randint(1, max(1, cfg.max_depth)))}
-    for j in range(1, n + 1):
-        slots[f"t{j}"] = gen_term(cfg, sig, rng)
-
-    def measure(sl: Slots) -> tuple[int, int]:
-        s = sl["s"]
-        ts = [sl[f"t{j}"] for j in range(1, n + 1)]
-        return predict_depth_full(s, ts, sig), depth(superpose(s, ts, n))
-
-    return _maybe_report("thm2.3", sig, slots, measure, token)
+def _composition(s: Term, ts: Iterable[Term]) -> Slots:
+    """The slots ``s, t1..tn``; a lazy ``ts`` is drawn after ``s``."""
+    slots: Slots = {"s": s}
+    for j, t in enumerate(ts, 1):
+        slots[f"t{j}"] = t
+    return slots
 
 
-def _run_thm33(cfg: GenConfig, sig: Signature, rng: random.Random, token: str):
-    n = cfg.var_bound
-    slots: Slots = {"s": gen_term(cfg, sig, rng)}
-    for j in range(1, n + 1):
-        slots[f"t{j}"] = gen_term(cfg, sig, rng)
-
-    def measure(sl: Slots) -> tuple[int, int]:
-        s = sl["s"]
-        ts = [sl[f"t{j}"] for j in range(1, n + 1)]
-        return predict_depth_general(s, ts, n), depth(superpose(s, ts, n))
-
-    return _maybe_report("thm3.3", sig, slots, measure, token)
+def _outer_and_args(slots: Slots) -> tuple[Term, list[Term]]:
+    return slots["s"], [slots[f"t{j}"] for j in range(1, len(slots))]  # type: ignore[return-value]
 
 
-def _run_cor45(cfg: GenConfig, sig: Signature, rng: random.Random, token: str):
-    slots: Slots = {
-        "sigma": gen_full_hyp(cfg, sig, rng),
-        "t": gen_full_term(cfg, sig, rng, depth=rng.randint(1, max(1, cfg.max_depth))),
-    }
-
-    def measure(sl: Slots) -> tuple[int, int]:
-        h, t = sl["sigma"], sl["t"]
-        return predict_depth_full_hyp(h, t), depth(apply_hyp(h, t))
-
-    return _maybe_report("cor4.5", sig, slots, measure, token)
+def _measure_thm23(sig: Signature, slots: Slots) -> tuple[int, int]:
+    s, ts = _outer_and_args(slots)
+    return predict_depth_full(s, ts, sig), depth(superpose(s, ts, len(ts)))
 
 
-def _run_cor46(cfg: GenConfig, sig: Signature, rng: random.Random, token: str):
-    slots: Slots = {
-        "sigma1": gen_full_hyp(cfg, sig, rng),
-        "sigma2": gen_full_hyp(cfg, sig, rng),
-    }
-
-    def valid(sl: Slots) -> bool:
-        return is_full_hyp(sl["sigma1"]) and is_full_hyp(sl["sigma2"])
-
-    def measure(sl: Slots) -> tuple[int, int]:
-        h1, h2 = sl["sigma1"], sl["sigma2"]
-        return hyp_depth(h1) * hyp_depth(h2), hyp_depth(compose_hyp(h1, h2))
-
-    return _maybe_report("cor4.6", sig, slots, measure, token, valid=valid)
+def _measure_thm33(sig: Signature, slots: Slots) -> tuple[int, int]:
+    s, ts = _outer_and_args(slots)
+    return predict_depth_general(s, ts, len(ts)), depth(superpose(s, ts, len(ts)))
 
 
-def _run_thm51(cfg: GenConfig, sig: Signature, rng: random.Random, token: str):
-    slots: Slots = {"sigma": gen_hyp(cfg, sig, rng), "t": gen_term(cfg, sig, rng)}
-
-    def measure(sl: Slots) -> tuple[int, int]:
-        h, t = sl["sigma"], sl["t"]
-        return predict_depth_hyp(h, t), depth(apply_hyp(h, t))
-
-    return _maybe_report("thm5.1", sig, slots, measure, token)
+def _measure_lemma22(sig: Signature, slots: Slots) -> tuple[int, int]:
+    s, ts = _outer_and_args(slots)
+    return 1, int(is_full(superpose(s, ts, len(ts))))
 
 
-def _run_lemma22(cfg: GenConfig, sig: Signature, rng: random.Random, token: str):
+def _full_hyp_pair(cfg: GenConfig, sig: Signature, rng: random.Random) -> Slots:
+    return {"sigma1": gen_full_hyp(cfg, sig, rng), "sigma2": gen_full_hyp(cfg, sig, rng)}
+
+
+def _all_full_hyps(slots: Slots) -> bool:
+    return all(is_full_hyp(h) for h in slots.values())  # type: ignore[arg-type]
+
+
+_ONE_ARITY = (
+    lambda sig: sig.common_arity() is not None,
+    "a signature whose symbols share one arity",
+)
+_ONE_SYMBOL = (lambda sig: len(sig.symbols) == 1, "a one-symbol signature")
+
+_LAWS: dict[str, _Law] = {
+    "thm2.3": _Law(
+        generate=lambda cfg, sig, rng: _composition(
+            _full_term(cfg, sig, rng),
+            (gen_term(cfg, sig, rng) for _ in range(sig.common_arity())),  # type: ignore[arg-type]
+        ),
+        measure=_measure_thm23,
+        shape=_ONE_ARITY,
+    ),
+    "thm3.3": _Law(
+        generate=lambda cfg, sig, rng: _composition(
+            gen_term(cfg, sig, rng), (gen_term(cfg, sig, rng) for _ in range(cfg.var_bound))
+        ),
+        measure=_measure_thm33,
+    ),
+    "cor4.5": _Law(
+        generate=lambda cfg, sig, rng: {
+            "sigma": gen_full_hyp(cfg, sig, rng),
+            "t": _full_term(cfg, sig, rng),
+        },
+        measure=lambda sig, sl: (
+            predict_depth_full_hyp(sl["sigma"], sl["t"]),
+            depth(apply_hyp(sl["sigma"], sl["t"])),
+        ),
+        shape=_ONE_SYMBOL,
+    ),
+    "cor4.6": _Law(
+        generate=_full_hyp_pair,
+        measure=lambda sig, sl: (
+            hyp_depth(sl["sigma1"]) * hyp_depth(sl["sigma2"]),
+            hyp_depth(compose_hyp(sl["sigma1"], sl["sigma2"])),
+        ),
+        valid=_all_full_hyps,
+        shape=_ONE_SYMBOL,
+    ),
+    "thm5.1": _Law(
+        generate=lambda cfg, sig, rng: {"sigma": gen_hyp(cfg, sig, rng), "t": gen_term(cfg, sig, rng)},
+        measure=lambda sig, sl: (b_of(sl["sigma"], sl["t"]), depth(apply_hyp(sl["sigma"], sl["t"]))),
+    ),
     # Full terms can use up to max-arity-many variables, so the composition
     # arity must cover that regardless of cfg.var_bound.
-    n = max(sig.symbols.values())
-    d = max(1, cfg.max_depth)
-    slots: Slots = {"s": gen_full_term(cfg, sig, rng, depth=rng.randint(1, d))}
-    for j in range(1, n + 1):
-        slots[f"t{j}"] = gen_full_term(cfg, sig, rng, depth=rng.randint(1, d))
-
-    def valid(sl: Slots) -> bool:
-        return all(is_full(sl[k]) for k in sl)
-
-    def measure(sl: Slots) -> tuple[int, int]:
-        s = sl["s"]
-        ts = [sl[f"t{j}"] for j in range(1, n + 1)]
-        return 1, int(is_full(superpose(s, ts, n)))
-
-    return _maybe_report("lemma2.2", sig, slots, measure, token, valid=valid)
-
-
-def _run_lemma42(cfg: GenConfig, sig: Signature, rng: random.Random, token: str):
-    slots: Slots = {
-        "sigma1": gen_full_hyp(cfg, sig, rng),
-        "sigma2": gen_full_hyp(cfg, sig, rng),
-    }
-
-    def valid(sl: Slots) -> bool:
-        return is_full_hyp(sl["sigma1"]) and is_full_hyp(sl["sigma2"])
-
-    def measure(sl: Slots) -> tuple[int, int]:
-        return 1, int(is_full_hyp(compose_hyp(sl["sigma1"], sl["sigma2"])))
-
-    return _maybe_report("lemma4.2", sig, slots, measure, token, valid=valid)
-
-
-_RUNNERS = {
-    "thm2.3": _run_thm23,
-    "thm3.3": _run_thm33,
-    "cor4.5": _run_cor45,
-    "cor4.6": _run_cor46,
-    "thm5.1": _run_thm51,
-    "lemma2.2": _run_lemma22,
-    "lemma4.2": _run_lemma42,
+    "lemma2.2": _Law(
+        generate=lambda cfg, sig, rng: _composition(
+            _full_term(cfg, sig, rng),
+            (_full_term(cfg, sig, rng) for _ in range(max(sig.symbols.values()))),
+        ),
+        measure=_measure_lemma22,
+        valid=lambda sl: all(is_full(t) for t in sl.values()),  # type: ignore[arg-type]
+    ),
+    "lemma4.2": _Law(
+        generate=_full_hyp_pair,
+        measure=lambda sig, sl: (1, int(is_full_hyp(compose_hyp(sl["sigma1"], sl["sigma2"])))),
+        valid=_all_full_hyps,
+    ),
 }
+
+KINDS = tuple(_LAWS)
 
 
 def signature_supports(kind: str, sig: Signature) -> bool:
-    """Whether ``sig`` has the shape a check requires."""
-    if kind == "thm2.3":
-        return sig.common_arity() is not None
-    if kind in ("cor4.5", "cor4.6"):
-        return len(sig.symbols) == 1
-    return True
+    """Whether ``sig`` has the shape the law ``kind`` requires."""
+    shape = _LAWS[kind].shape
+    return shape is None or shape[0](sig)
 
 
-def _require_signature_shape(kind: str, sig: Signature) -> None:
-    if kind == "thm2.3" and sig.common_arity() is None:
-        raise ValueError("thm2.3 needs a signature whose symbols share one arity")
-    if kind in ("cor4.5", "cor4.6") and len(sig.symbols) != 1:
-        raise ValueError(f"{kind} needs a one-symbol signature")
+def _render(value: object) -> str:
+    if isinstance(value, Hypersubstitution):
+        return render_hyp(value)
+    return render_term(value)  # type: ignore[arg-type]
 
 
 def check_theorem(
@@ -556,16 +511,27 @@ def check_theorem(
     list means the law held on every trial.  Identical arguments give an
     identical result list.
     """
-    if kind not in KINDS:
+    if kind not in _LAWS:
         raise ValueError(f"unknown check {kind!r}; pick one of: {', '.join(KINDS)}")
     if not isinstance(trials, int) or trials < 1:
         raise ValueError("trials must be an integer >= 1")
-    _require_signature_shape(kind, sig)
-    runner = _RUNNERS[kind]
+    law = _LAWS[kind]
+    if not signature_supports(kind, sig):
+        raise ValueError(f"{kind} needs {law.shape[1]}")  # type: ignore[index]
     found: list[Discrepancy] = []
     for trial in range(trials):
-        rng = trial_stream(cfg.seed, trial)
-        disc = runner(cfg, sig, rng, f"{cfg.seed}:{trial}")
-        if disc is not None:
-            found.append(disc)
+        slots = law.generate(cfg, sig, trial_stream(cfg.seed, trial))
+        # The generated trial itself is measured unguarded: if a generator
+        # ever produces inputs a predictor rejects, that is a bug worth a
+        # loud error, not a silently passing trial.
+        if law.valid is not None and not law.valid(slots):
+            raise RuntimeError(f"{kind}: generator produced an invalid trial")
+        predicted, actual = law.measure(sig, slots)
+        if predicted == actual:
+            continue
+        slots = _greedy_shrink(slots, lambda sl: law.fails(sig, sl))
+        predicted, actual = law.measure(sig, slots)
+        inputs = {"signature": render_signature(sig)}
+        inputs.update((key, _render(value)) for key, value in slots.items())
+        found.append(Discrepancy(kind, inputs, predicted, actual, f"{cfg.seed}:{trial}"))
     return found

@@ -29,7 +29,6 @@ from termdepth import (
     parse_signature,
     parse_term,
     predict_depth_general,
-    predict_depth_hyp,
     render_term,
     superpose,
     trial_stream,
@@ -173,7 +172,7 @@ def test_a7_occurrence_predictor_suite():
                 disc_sig = parse_signature(disc.inputs["signature"])
                 h = parse_hyp(disc.inputs["sigma"], disc_sig)
                 t = parse_term(disc.inputs["t"], disc_sig)
-                assert predict_depth_hyp(h, t) == disc.predicted
+                assert b_of(h, t) == disc.predicted
                 assert depth(apply_hyp(h, t)) == disc.actual
                 assert disc.predicted != disc.actual
                 size = len(disc.inputs["sigma"]) + len(disc.inputs["t"])

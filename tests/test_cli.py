@@ -79,6 +79,16 @@ class TestDepthCommand:
         assert code == 2
         assert "error:" in err and "bytes" in err
 
+    def test_parse_error_spans_count_from_the_input_as_given(self, capsys, sig_file, tmp_path):
+        term = tmp_path / "t.term"
+        term.write_text("   \n  f(x1,)\n")
+        code, _, err = run(capsys, "depth", sig_file, str(term))
+        assert code == 2
+        assert "(bytes 11..12)" in err
+        code, _, err = run(capsys, "depth", sig_file, "--expr", "  f(x1,)")
+        assert code == 2
+        assert "(bytes 7..8)" in err
+
 
 class TestComposeCommand:
     def test_worked_example(self, capsys, sig_file):

@@ -16,7 +16,6 @@ from termdepth import (
     occurrence_path,
     parse_hyp,
     parse_term,
-    predict_depth_hyp,
     trial_stream,
     yield_word,
 )
@@ -170,7 +169,7 @@ class TestPredictDepthHyp:
     def test_duplicating_image_worked_example(self, sig2):
         h = parse_hyp("f -> f(x2,x2)", sig2)
         t = parse_term("f(x3,f(f(x1,x1),x2))", sig2)
-        assert predict_depth_hyp(h, t) == 2
+        assert b_of(h, t) == 2
         assert depth(apply_hyp(h, t)) == 2
 
     def test_agrees_with_multiplicative_rule_on_full_inputs(self, sig2, sig3):
@@ -182,7 +181,7 @@ class TestPredictDepthHyp:
                 rng = trial_stream(seed, trial)
                 h = gen_full_hyp(cfg, sig, rng)
                 t = gen_full_term(cfg, sig, rng, depth=rng.randint(1, 3))
-                assert predict_depth_hyp(h, t) == hyp_depth(h) * depth(t)
+                assert b_of(h, t) == hyp_depth(h) * depth(t)
 
     def test_exact_for_variable_keeping_images(self, sig23):
         # no projections, no deletions: the predictor is exact
@@ -191,7 +190,7 @@ class TestPredictDepthHyp:
             rng = trial_stream(12, trial)
             h = gen_hyp(cfg, sig23, rng, regular=True)
             t = gen_term(cfg, sig23, rng)
-            assert predict_depth_hyp(h, t) == depth(apply_hyp(h, t))
+            assert b_of(h, t) == depth(apply_hyp(h, t))
 
     def test_known_projection_counterexample(self):
         # a projection at the root zeroes the top step of every occurrence,
@@ -199,7 +198,7 @@ class TestPredictDepthHyp:
         sig = Signature({"f": 2, "g": 1})
         h = parse_hyp("f -> f(x2,x2)\ng -> x1", sig)
         t = parse_term("g(f(x1,g(x2)))", sig)
-        assert predict_depth_hyp(h, t) == 0
+        assert b_of(h, t) == 0
         assert depth(apply_hyp(h, t)) == 1
 
     def test_known_deletion_counterexample(self, sig2):
@@ -207,7 +206,7 @@ class TestPredictDepthHyp:
         # only inspects the top step, so a dropped subtree still gets counted
         h = parse_hyp("f -> f(x1,x1)", sig2)
         t = parse_term("f(f(x1,f(f(x1,x1),x1)),x1)", sig2)
-        assert predict_depth_hyp(h, t) == 3
+        assert b_of(h, t) == 3
         assert depth(apply_hyp(h, t)) == 2
 
     def test_survival_filter_is_exact_everywhere(self, sig2, sig23):

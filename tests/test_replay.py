@@ -10,6 +10,7 @@ import hashlib
 import json
 
 from termdepth import (
+    KINDS,
     GenConfig,
     Signature,
     check_theorem,
@@ -21,6 +22,7 @@ from termdepth import (
     render_term,
     trial_stream,
 )
+from termdepth.verify import signature_supports
 
 SIGS = {
     "f/2": Signature({"f": 2}),
@@ -150,6 +152,31 @@ GOLDEN_THM51 = [
 # sha256 over the thm5.1 records of 300 trials per signature (seeds 70, 71, 72)
 THM51_DIGEST = "040fb4db889825a46c0e34170d2183e2763b7a2fee6a221db332759c6b47ddbd"
 
+# sha256 over the lemma4.2 records of 300 trials on each mixed-arity
+# signature (seeds 42, 43, depth 3): the other law that reports shrunk
+# counterexamples
+LEMMA42_DIGEST = "876ae090d7113d3f025dae8c7f6832bbd339c25fbf1511cc329fffe551df88f7"
+
+# discrepancies in 300 trials (seed 5, depth 4) of every (kind, signature)
+# pair whose signature shape the kind supports
+DISCREPANCY_COUNTS = {
+    ("thm2.3", "f/2"): 0,
+    ("thm3.3", "f/2"): 0,
+    ("cor4.5", "f/2"): 0,
+    ("cor4.6", "f/2"): 0,
+    ("thm5.1", "f/2"): 4,
+    ("lemma2.2", "f/2"): 0,
+    ("lemma4.2", "f/2"): 0,
+    ("thm3.3", "f1/2,f2/3"): 0,
+    ("thm5.1", "f1/2,f2/3"): 40,
+    ("lemma2.2", "f1/2,f2/3"): 0,
+    ("lemma4.2", "f1/2,f2/3"): 157,
+    ("thm3.3", "g1/1,g2/2,g4/4"): 0,
+    ("thm5.1", "g1/1,g2/2,g4/4"): 48,
+    ("lemma2.2", "g1/1,g2/2,g4/4"): 0,
+    ("lemma4.2", "g1/1,g2/2,g4/4"): 214,
+}
+
 
 def test_golden_renders():
     cfg = _cfg(7, 3)
@@ -188,3 +215,23 @@ def test_thm51_digest():
         for d in check_theorem("thm5.1", 300, _cfg(70 + offset, 4), sig):
             digest.update((json.dumps(d.as_dict(), sort_keys=True) + "\n").encode())
     assert digest.hexdigest() == THM51_DIGEST
+
+
+def test_lemma42_digest():
+    digest = hashlib.sha256()
+    for offset, name in enumerate(["f1/2,f2/3", "g1/1,g2/2,g4/4"]):
+        for d in check_theorem("lemma4.2", 300, _cfg(42 + offset, 3), SIGS[name]):
+            digest.update((json.dumps(d.as_dict(), sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == LEMMA42_DIGEST
+
+
+def test_discrepancy_counts():
+    supported = [
+        (kind, name) for name, sig in SIGS.items() for kind in KINDS if signature_supports(kind, sig)
+    ]
+    assert supported == list(DISCREPANCY_COUNTS)
+    counts = {
+        (kind, name): len(check_theorem(kind, 300, _cfg(5, 4), SIGS[name]))
+        for kind, name in supported
+    }
+    assert counts == DISCREPANCY_COUNTS

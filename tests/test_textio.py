@@ -46,16 +46,24 @@ class TestParseSignature:
             ("f/2\nf/3", "duplicate"),
             ("", "no operation symbols"),
             ("1f/2", "invalid"),
+            ("f/²", "positive integer"),
+            ("g/١", "positive integer"),
         ],
     )
     def test_rejections(self, text, fragment):
-        with pytest.raises(ParseError, match=fragment):
+        with pytest.raises(ParseError, match=fragment) as info:
             parse_signature(text)
+        assert info.value.span.end <= len(text.encode())
 
     def test_error_span_points_into_input(self):
         with pytest.raises(ParseError) as info:
             parse_signature("f/2\n   x9/1")
         assert "x9/1" == "f/2\n   x9/1"[info.value.span.start : info.value.span.end]
+        # non-ASCII digits: the span is the arity token's bytes
+        for text in ("f/²", "g / ١"):
+            with pytest.raises(ParseError) as info:
+                parse_signature(text)
+            assert text.encode()[info.value.span.start : info.value.span.end] == text[-1].encode()
 
 
 class TestParseTerm:
@@ -99,6 +107,12 @@ class TestParseTerm:
             parse_term(text, sig2)
         span = info.value.span
         assert text[span.start : span.end] == "h"
+        # an index longer than int() reads
+        text = "f(x1,x" + "9" * 5000 + ")"
+        with pytest.raises(ParseError, match="too many digits") as info:
+            parse_term(text, sig2)
+        span = info.value.span
+        assert text[span.start : span.end] == "9" * 5000
 
     def test_spans_are_byte_offsets(self, sig2):
         # the comment before the term carries a multi-byte character

@@ -7,6 +7,7 @@ from termdepth import (
     Signature,
     Var,
     apply_hyp,
+    b_of,
     check_theorem,
     compose_hyp,
     depth,
@@ -21,7 +22,6 @@ from termdepth import (
     parse_hyp,
     parse_signature,
     parse_term,
-    predict_depth_hyp,
     trial_stream,
     variables,
 )
@@ -175,7 +175,7 @@ class TestCheckTheorem:
             sig = parse_signature(disc.inputs["signature"])
             h = parse_hyp(disc.inputs["sigma"], sig)
             t = parse_term(disc.inputs["t"], sig)
-            assert predict_depth_hyp(h, t) == disc.predicted
+            assert b_of(h, t) == disc.predicted
             assert depth(apply_hyp(h, t)) == disc.actual
             assert disc.predicted != disc.actual
             assert disc.seed_state.startswith("16:")
