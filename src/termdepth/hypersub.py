@@ -99,11 +99,7 @@ def compose_hyp(first: Hypersubstitution, second: Hypersubstitution) -> Hypersub
 
 def is_full_hyp(h: Hypersubstitution) -> bool:
     """Whether every image is a full term over exactly the variables x1..xn."""
-    for name, arity in h.signature.symbols.items():
-        image = h.assignment[name]
-        if not is_full(image) or variables(image) != set(range(1, arity + 1)):
-            return False
-    return True
+    return is_regular_hyp(h) and all(is_full(image) for image in h.assignment.values())
 
 
 def is_regular_hyp(h: Hypersubstitution) -> bool:

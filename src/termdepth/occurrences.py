@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hypersub import Hypersubstitution
-from .terms import App, Term, Var, _length_map, _variable_depths, depth_wrt
+from .terms import App, Term, Var, _length_map, _variable_depths, postorder
 
 __all__ = [
     "BTrace",
@@ -93,9 +93,10 @@ def b_trace(h: Hypersubstitution, t: Term, i: int) -> BTrace:
     """The per-level contributions of ``h`` along the i-th occurrence path of ``t``."""
     h.signature.validate_term(t)
     path = occurrence_path(t, i)
+    table = _position_depths(h)
     values = [0]
     for place, parent in zip(path.positions, path.chain[1:]):
-        values.append(depth_wrt(h.assignment[parent.symbol], place))  # type: ignore[union-attr]
+        values.append(table[parent.symbol][place - 1])  # type: ignore[union-attr]
     return BTrace(
         occurrence_index=i,
         b_values=tuple(values),
@@ -105,8 +106,9 @@ def b_trace(h: Hypersubstitution, t: Term, i: int) -> BTrace:
 
 
 def _position_depths(h: Hypersubstitution) -> dict[str, tuple[int, ...]]:
-    # b_trace values depend only on (symbol, argument place), so one small
-    # table per call covers every occurrence of the term.
+    # A b-value depends only on (symbol, argument place): row[p - 1] is
+    # depth_wrt(image of symbol, p).  One small table per call covers every
+    # occurrence of the term.
     table = {}
     for name, arity in h.signature.symbols.items():
         per = _variable_depths(h.assignment[name])
@@ -123,27 +125,30 @@ def b_of(h: Hypersubstitution, t: Term) -> int:
     prediction diverge from the measured depth (the verification suite
     reports such cases as counterexamples).
 
-    Computed in one pass over the tree positions of ``t`` by accumulating
-    per-step contributions top-down; this equals the maximum of
-    ``b_trace(h, t, i).b_sum`` over all qualifying i without building one
-    trace per occurrence.
+    A longest path over the distinct nodes of ``t``, children first, with
+    ``best(x) = 0`` and ``best(f(t1..tn)) = max_p(row_f[p] + best(tp))``
+    (``row_f[p]`` is the b-value of place p under f); the nonzero-top filter
+    applies only to the root's edges.  The same pass checks ``t`` against
+    the signature.
     """
-    h.signature.validate_term(t)
     if type(t) is Var:
         return 0
     table = _position_depths(h)
-    best = 0
-    root_row = table[t.symbol]
-    stack = [(child, root_row[place], root_row[place]) for place, child in enumerate(t.args)]
-    while stack:
-        node, acc, top = stack.pop()
+    best: dict[int, int] = {}
+    for node in postorder(t):
         if type(node) is Var:
-            if top != 0 and acc > best:
-                best = acc
-        else:
-            row = table[node.symbol]
-            stack.extend(
-                (child, acc + row[place], top) for place, child in enumerate(node.args)
-            )
-    return best
+            best[id(node)] = 0
+            continue
+        args = node.args  # type: ignore[attr-defined]
+        row = table.get(node.symbol, ())  # type: ignore[attr-defined]
+        if len(row) != len(args):
+            h.signature.validate_term(node)  # raises: the children already passed
+        longest = 0
+        for b, a in zip(row, args):
+            v = b + best[id(a)]
+            if v > longest:
+                longest = v
+        best[id(node)] = longest
+    root = zip(table[t.symbol], t.args)  # type: ignore[attr-defined]
+    return max([b + best[id(a)] for b, a in root if b] or [0])
 

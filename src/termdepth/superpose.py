@@ -9,15 +9,8 @@ from .terms import Signature, Term, Var, _app, _variable_depths, arity_bound, de
 __all__ = ["is_full", "predict_depth_full", "predict_depth_general", "superpose"]
 
 
-def superpose(s: Term, ts: Sequence[Term], n: int) -> Term:
-    """Substitute ``ts[i-1]`` for every occurrence of ``x_i`` in ``s``.
-
-    ``s`` must be n-ary (no variable index above ``n``) and ``ts`` must
-    supply exactly ``n`` replacement terms.  The result shares structure
-    with the inputs: each ``ts[j]`` object is plugged in wherever ``x_j``
-    occurs, so the composite can be measured in time linear in the number
-    of distinct nodes even when its unfolded tree is huge.
-    """
+def _argument_terms(s: Term, ts: Sequence[Term], n: int) -> tuple[Term, ...]:
+    """``ts`` as a tuple, once it is known to hold n Terms and ``s`` to be n-ary."""
     ts = tuple(ts)
     if len(ts) != n:
         raise ValueError(f"expected {n} argument terms, got {len(ts)}")
@@ -27,6 +20,19 @@ def superpose(s: Term, ts: Sequence[Term], n: int) -> Term:
     bound = arity_bound(s)
     if bound > n:
         raise ValueError(f"outer term is not {n}-ary: it uses x{bound}")
+    return ts
+
+
+def superpose(s: Term, ts: Sequence[Term], n: int) -> Term:
+    """Substitute ``ts[i-1]`` for every occurrence of ``x_i`` in ``s``.
+
+    ``s`` must be n-ary (no variable index above ``n``) and ``ts`` must
+    supply exactly ``n`` replacement terms.  The result shares structure
+    with the inputs: each ``ts[j]`` object is plugged in wherever ``x_j``
+    occurs, so the composite can be measured in time linear in the number
+    of distinct nodes even when its unfolded tree is huge.
+    """
+    ts = _argument_terms(s, ts, n)
     memo: dict[int, Term] = {}
     for node in postorder(s):
         if type(node) is Var:
@@ -71,9 +77,7 @@ def predict_depth_full(s: Term, ts: Sequence[Term], sig: Signature) -> int:
     sig.validate_term(s)
     if not is_full(s):
         raise ValueError("outer term must be full")
-    ts = tuple(ts)
-    if len(ts) != n:
-        raise ValueError(f"expected {n} argument terms, got {len(ts)}")
+    ts = _argument_terms(s, ts, n)
     return max(depth(t) for t in ts) + depth(s)
 
 
@@ -83,10 +87,5 @@ def predict_depth_general(s: Term, ts: Sequence[Term], n: int) -> int:
     Equals ``max(depth_wrt(s, j) + depth(ts[j-1]))`` over the variables
     ``x_j`` occurring in ``s``.
     """
-    ts = tuple(ts)
-    if len(ts) != n:
-        raise ValueError(f"expected {n} argument terms, got {len(ts)}")
-    bound = arity_bound(s)
-    if bound > n:
-        raise ValueError(f"outer term is not {n}-ary: it uses x{bound}")
+    ts = _argument_terms(s, ts, n)
     return max(d + depth(ts[j - 1]) for j, d in _variable_depths(s).items())

@@ -7,9 +7,10 @@ the measure to paths that reach a chosen variable.
 
 Terms are immutable and may share subterm objects freely.  Each node caches
 its depth and arity bound when it is built, so ``depth`` and ``arity_bound``
-take O(1) time.  Every traversal in this package runs on an explicit stack
-and memoizes per object, so both very deep terms (10^5 levels and beyond)
-and heavily shared ones are safe.
+take O(1) time.  The other measures are folds over the distinct nodes,
+``for node in postorder(t): memo[id(node)] = ...`` (``variables`` keeps a
+seen-set walk), and nothing recurses, so both very deep terms (10^5 levels
+and beyond) and heavily shared ones are safe.
 """
 
 from __future__ import annotations

@@ -155,39 +155,43 @@ def parse_term(text: str, sig: Signature) -> Term:
 
 
 def _logical_lines(text: str):
-    """Comment-stripped lines with their character offsets into ``text``."""
+    """Nonblank lines with comments cut and grammar whitespace trimmed.
+
+    Yields each line with the character offset of its first character in
+    ``text``.  Byte spans are worked out only when a line is rejected, so
+    parsing stays linear in the size of the input.
+    """
     offset = 0
     for raw in text.split("\n"):
-        line = raw
-        cut = line.find("#")
-        if cut != -1:
-            line = line[:cut]
-        yield line, offset
+        line = raw.partition("#")[0]
+        body = line.strip(_WHITESPACE)
+        if body:
+            yield body, offset + len(line) - len(line.lstrip(_WHITESPACE))
         offset += len(raw) + 1
+
+
+def _line_error(message: str, text: str, line: str, start: int) -> ParseError:
+    """A ParseError spanning the logical line ``line`` found at ``start``."""
+    return ParseError(message, _byte_span(text, start, start + len(line)))
 
 
 def parse_signature(text: str) -> Signature:
     """Parse ``name/arity`` lines into a Signature, preserving order."""
     table: dict[str, int] = {}
-    for line, offset in _logical_lines(text):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        lead = len(line) - len(line.lstrip())
-        span = _byte_span(text, offset + lead, offset + lead + len(stripped))
-        name, sep, arity_text = stripped.partition("/")
-        arity_start = offset + lead + len(name) + len(sep) + len(arity_text) - len(arity_text.lstrip())
-        name = name.strip()
-        arity_text = arity_text.strip()
-        arity_end = arity_start + len(arity_text)
+    for line, start in _logical_lines(text):
+        name, sep, arity_text = line.partition("/")
         if not sep:
-            raise ParseError("expected 'name/arity'", span)
+            raise _line_error("expected 'name/arity'", text, line, start)
+        name = name.rstrip(_WHITESPACE)
         if not _SYMBOL_NAME.match(name):
-            raise ParseError(f"invalid operation symbol name {name!r}", span)
+            raise _line_error(f"invalid operation symbol name {name!r}", text, line, start)
         if _RESERVED_NAME.match(name):
-            raise ParseError(f"symbol name {name!r} is reserved for variables", span)
+            raise _line_error(f"symbol name {name!r} is reserved for variables", text, line, start)
         if name in table:
-            raise ParseError(f"duplicate operation symbol {name!r}", span)
+            raise _line_error(f"duplicate operation symbol {name!r}", text, line, start)
+        arity_start = start + len(line) - len(arity_text.lstrip(_WHITESPACE))
+        arity_text = arity_text.strip(_WHITESPACE)
+        arity_end = arity_start + len(arity_text)
         if not (arity_text.isascii() and arity_text.isdigit()):
             raise ParseError(
                 f"arity of {name!r} must be a positive integer",
@@ -206,23 +210,18 @@ def parse_signature(text: str) -> Signature:
 def parse_hyp(text: str, sig: Signature) -> Hypersubstitution:
     """Parse ``name -> term`` lines into a total hypersubstitution over ``sig``."""
     images: dict[str, Term] = {}
-    for line, offset in _logical_lines(text):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        lead = len(line) - len(line.lstrip())
-        span = _byte_span(text, offset + lead, offset + lead + len(stripped))
-        name_part, sep, _ = line.partition("->")
+    for line, start in _logical_lines(text):
+        name_part, sep, term_text = line.partition("->")
         if not sep:
-            raise ParseError("expected 'symbol -> term'", span)
-        name = name_part.strip()
+            raise _line_error("expected 'symbol -> term'", text, line, start)
+        name = name_part.rstrip(_WHITESPACE)
         if name not in sig.symbols:
-            raise ParseError(f"unknown operation symbol {name!r}", span)
+            raise _line_error(f"unknown operation symbol {name!r}", text, line, start)
         if name in images:
-            raise ParseError(f"duplicate image for {name!r}", span)
-        term_start = offset + len(name_part) + 2
+            raise _line_error(f"duplicate image for {name!r}", text, line, start)
+        term_start = start + len(name_part) + 2
         try:
-            image = parse_term(line[len(name_part) + 2 :], sig)
+            image = parse_term(term_text, sig)
         except ParseError as exc:
             base = len(text[:term_start].encode())
             raise ParseError(
@@ -233,7 +232,7 @@ def parse_hyp(text: str, sig: Signature) -> Hypersubstitution:
         if bound > arity:
             raise ParseError(
                 f"image of {name!r} uses x{bound} but {name!r} is {arity}-ary",
-                _byte_span(text, term_start, offset + len(line)),
+                _byte_span(text, term_start, start + len(line)),
             )
         images[name] = image
     missing = [name for name in sig.symbols if name not in images]

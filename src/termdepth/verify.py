@@ -126,18 +126,14 @@ def gen_term(
     cfg: GenConfig,
     sig: Signature,
     rng: random.Random,
-    max_depth: int | None = None,
     var_pool: Sequence[int] | None = None,
 ) -> Term:
-    """Random term of depth <= the budget (default cfg.max_depth).
+    """Random term of depth <= cfg.max_depth.
 
     Leaves are drawn from ``var_pool`` (default x1..x_var_bound).  Above
     budget 0 a leaf is emitted with probability LEAF_PROBABILITY.  Leaves of
     the same index are one shared ``Var`` object.
     """
-    budget = cfg.max_depth if max_depth is None else max_depth
-    if budget < 0:
-        raise ValueError("depth budget must be >= 0")
     pool = tuple(var_pool) if var_pool is not None else tuple(range(1, cfg.var_bound + 1))
     if not pool:
         raise ValueError("variable pool is empty")
@@ -146,7 +142,7 @@ def gen_term(
     names = tuple(sig.symbols)
     arities = sig.symbols
     frames: list[list] = []  # [symbol, arity, args, sibling budget]
-    pending = budget
+    pending = cfg.max_depth
     while True:
         if pending == 0 or rng.random() < LEAF_PROBABILITY:
             term: Term = rng.choice(leaves)

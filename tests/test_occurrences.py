@@ -1,6 +1,7 @@
 import pytest
 
 from termdepth import (
+    App,
     GenConfig,
     Signature,
     Var,
@@ -152,6 +153,22 @@ class TestBOf:
                 default=0,
             )
             assert b_of(h, t) == by_traces == oracles.b_of_rec(h, t)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            App("f1", (Var(1), App("f1", (App("g", (Var(1),)), Var(2))))),
+            App("f1", (Var(1), App("f2", (Var(1), Var(2))))),
+            App("f1", (App("f1", (Var(1), Var(1))), App("f1", (Var(1), Var(1), Var(1))))),
+        ],
+        ids=["unknown-symbol", "too-few-arguments", "too-many-arguments"],
+    )
+    def test_rejects_foreign_terms_like_validate_term(self, sig23, t):
+        with pytest.raises(ValueError) as expected:
+            sig23.validate_term(t)
+        with pytest.raises(ValueError) as got:
+            b_of(identity_hyp(sig23), t)
+        assert str(got.value) == str(expected.value)
 
     def test_b_sum_bounded_by_beta_times_hyp_depth(self, sig23):
         from termdepth import hyp_depth

@@ -10,6 +10,7 @@ from termdepth import (
     Var,
     apply_hyp,
     arity_bound,
+    b_of,
     depth,
     depth_report,
     depth_wrt,
@@ -151,3 +152,12 @@ def test_rewritten_term_facts_match_oracles(h, t):
     # small inputs: the oracles walk the unfolded tree, which apply_hyp can
     # make exponentially larger than its shared DAG
     assert _facts_match_oracles(apply_hyp(h, t))
+
+
+@settings(max_examples=60)
+@given(hyps, hyps, small_terms)
+def test_b_of_matches_oracle_on_shared_dags(h, h2, t):
+    # apply_hyp plugs one rewritten child in wherever an image repeats its
+    # variable, so b_of sees a DAG; the oracle walks the unfolded tree
+    shared = apply_hyp(h2, t)
+    assert b_of(h, shared) == oracles.b_of_rec(h, shared)

@@ -7,15 +7,19 @@ from termdepth import (
     Var,
     apply_hyp,
     arity_bound,
+    b_of,
     depth,
     depth_report,
     depth_wrt,
     gen_full_term,
     gen_hyp,
     gen_term,
+    identity_hyp,
+    is_full,
     length,
     parse_hyp,
     parse_term,
+    predict_depth_general,
     superpose,
     trial_stream,
     variables,
@@ -283,3 +287,42 @@ class TestInternallyBuiltTerms:
         assert arity_bound(t) == 3
         assert depth_wrt(t, 3) == 50_000
         assert dict(depth_report(t, 3).per_variable) == {1: 0, 2: 50_000, 3: 50_000}
+
+
+SHARED_LEVELS = 64
+SIG2 = Signature({"f": 2})
+
+
+def shared_chain(levels):
+    """``f(c, c)`` nested ``levels`` deep over x1: levels + 1 distinct nodes
+    but 2**levels leaf positions."""
+    t = Var(1)
+    for _ in range(levels):
+        t = App("f", (t, t))
+    return t
+
+
+@pytest.mark.parametrize(
+    "measure,expected",
+    [
+        pytest.param(lambda t: b_of(identity_hyp(SIG2), t), SHARED_LEVELS, id="b_of-identity"),
+        pytest.param(
+            lambda t: b_of(parse_hyp("f -> f(x2,x2)", SIG2), t), SHARED_LEVELS, id="b_of-duplicating"
+        ),
+        pytest.param(lambda t: depth_wrt(t, 1), SHARED_LEVELS, id="depth_wrt"),
+        pytest.param(
+            lambda t: dict(depth_report(t, 2).per_variable), {1: SHARED_LEVELS, 2: 0}, id="depth_report"
+        ),
+        pytest.param(variables, {1}, id="variables"),
+        pytest.param(length, 2**SHARED_LEVELS, id="length"),
+        pytest.param(is_full, False, id="is_full"),
+        pytest.param(
+            lambda t: predict_depth_general(t, [t, Var(2)], 2), 2 * SHARED_LEVELS, id="predict_depth_general"
+        ),
+        pytest.param(SIG2.validate_term, None, id="validate_term"),
+        pytest.param(lambda t: t == shared_chain(SHARED_LEVELS), True, id="equality"),
+    ],
+)
+def test_scalar_measures_are_linear_in_distinct_nodes(measure, expected):
+    # 2**64 tree positions: a measure that walks positions never returns
+    assert measure(shared_chain(SHARED_LEVELS)) == expected

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -48,6 +49,10 @@ class TestParseSignature:
             ("1f/2", "invalid"),
             ("f/²", "positive integer"),
             ("g/١", "positive integer"),
+            # only space, tab, CR and LF are whitespace in the grammar
+            ("f\u3000/ 2", "invalid"),
+            ("f/2\u3000", "positive integer"),
+            ("\xa0f/2", "invalid"),
         ],
     )
     def test_rejections(self, text, fragment):
@@ -164,12 +169,42 @@ class TestParseHyp:
         h = parse_hyp(text, sig23)
         assert h.image("f2") == Var(2)
 
+    @pytest.mark.parametrize(
+        "text,fragment",
+        [
+            ("f\u3000-> f(x2,x1)", "unknown operation symbol"),
+            ("\xa0f -> f(x2,x1)", "unknown operation symbol"),
+            ("f -> f(x2,\u3000x1)", "expected a variable"),
+            ("f -> f(x2,x1)\u3000", "trailing input"),
+        ],
+    )
+    def test_rejects_non_grammar_whitespace(self, sig2, text, fragment):
+        with pytest.raises(ParseError, match=fragment) as info:
+            parse_hyp(text, sig2)
+        assert info.value.span.end <= len(text.encode())
+
     def test_term_error_span_is_global(self, sig2):
         text = "f -> f(x1,h)"
         with pytest.raises(ParseError) as info:
             parse_hyp(text, sig2)
         span = info.value.span
         assert text[span.start : span.end] == "h"
+
+
+class TestParseScale:
+    def test_long_files_parse_in_linear_time(self):
+        # a byte span built eagerly for every line made parsing quadratic:
+        # these two files once took about 10 s together
+        lines = 40_000
+        sig_text = "\n".join(f"g{k}/2" for k in range(lines))
+        hyp_text = "\n".join(f"g{k} -> g{k}(x2,x1)" for k in range(lines))
+        start = time.perf_counter()
+        sig = parse_signature(sig_text)
+        h = parse_hyp(hyp_text, sig)
+        elapsed = time.perf_counter() - start
+        assert len(sig.symbols) == lines
+        assert render_term(h.image(f"g{lines - 1}")) == f"g{lines - 1}(x2,x1)"
+        assert elapsed < 3.0, f"parsing {lines} signature and hyp lines took {elapsed:.2f} s"
 
 
 class TestRendering:
