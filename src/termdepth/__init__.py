@@ -8,113 +8,23 @@ randomized verification harness that checks every predictor against
 direct construction.
 """
 
-from .hypersub import (
-    Hypersubstitution,
-    apply_hyp,
-    compose_hyp,
-    hyp_depth,
-    identity_hyp,
-    is_full_hyp,
-    is_regular_hyp,
-    predict_depth_full_hyp,
-)
-from .occurrences import (
-    BTrace,
-    OccurrencePath,
-    b_of,
-    b_trace,
-    beta,
-    occurrence_path,
-)
-from .superpose import is_full, predict_depth_full, predict_depth_general, superpose
-from .terms import (
-    App,
-    DepthReport,
-    Signature,
-    Term,
-    Var,
-    arity_bound,
-    depth,
-    depth_report,
-    depth_wrt,
-    length,
-    postorder,
-    variables,
-    yield_word,
-)
-from .textio import (
-    ParseError,
-    SourceSpan,
-    parse_hyp,
-    parse_signature,
-    parse_term,
-    render_hyp,
-    render_signature,
-    render_term,
-)
-from .verify import (
-    KINDS,
-    Discrepancy,
-    GenConfig,
-    check_theorem,
-    gen_full_hyp,
-    gen_full_term,
-    gen_hyp,
-    gen_signature,
-    gen_term,
-    trial_stream,
-)
+from . import hypersub, occurrences, superpose, terms, textio, verify
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "App",
-    "BTrace",
-    "DepthReport",
-    "Discrepancy",
-    "GenConfig",
-    "Hypersubstitution",
-    "KINDS",
-    "OccurrencePath",
-    "ParseError",
-    "Signature",
-    "SourceSpan",
-    "Term",
-    "Var",
-    "apply_hyp",
-    "arity_bound",
-    "b_of",
-    "b_trace",
-    "beta",
-    "check_theorem",
-    "compose_hyp",
-    "depth",
-    "depth_report",
-    "depth_wrt",
-    "gen_full_hyp",
-    "gen_full_term",
-    "gen_hyp",
-    "gen_signature",
-    "gen_term",
-    "hyp_depth",
-    "identity_hyp",
-    "is_full",
-    "is_full_hyp",
-    "is_regular_hyp",
-    "length",
-    "occurrence_path",
-    "parse_hyp",
-    "parse_signature",
-    "parse_term",
-    "postorder",
-    "predict_depth_full",
-    "predict_depth_full_hyp",
-    "predict_depth_general",
-    "render_hyp",
-    "render_signature",
-    "render_term",
-    "superpose",
-    "trial_stream",
-    "variables",
-    "yield_word",
-]
+__all__ = []
+__all__ += terms.__all__
+__all__ += superpose.__all__
+__all__ += hypersub.__all__
+__all__ += occurrences.__all__
+__all__ += textio.__all__
+__all__ += verify.__all__
+
+# Last, because ``from .superpose import *`` rebinds the name ``superpose``
+# from the submodule, which the lines above read, to the function.
+from .hypersub import *  # noqa: E402, F403
+from .occurrences import *  # noqa: E402, F403
+from .superpose import *  # noqa: E402, F403
+from .terms import *  # noqa: E402, F403
+from .textio import *  # noqa: E402, F403
+from .verify import *  # noqa: E402, F403

@@ -78,14 +78,16 @@ def apply_hyp(h: Hypersubstitution, t: Term) -> Term:
     ``f`` superposed onto the rewritten children.  The result shares
     subterm objects, so repeated arguments do not blow up memory.
     """
-    h.signature.validate_term(t)
+    arities = h.signature.symbols
     memo: dict[int, Term] = {}
     for node in postorder(t):
         if type(node) is Var:
             memo[id(node)] = node
-        else:
-            children = tuple(memo[id(a)] for a in node.args)
-            memo[id(node)] = superpose(h.assignment[node.symbol], children, len(children))
+            continue
+        if arities.get(node.symbol) != len(node.args):
+            h.signature.validate_term(node)  # raises: the children already passed
+        children = tuple(memo[id(a)] for a in node.args)
+        memo[id(node)] = superpose(h.assignment[node.symbol], children, len(children))
     return memo[id(t)]
 
 

@@ -10,7 +10,8 @@ its depth and arity bound when it is built, so ``depth`` and ``arity_bound``
 take O(1) time.  The other measures are folds over the distinct nodes,
 ``for node in postorder(t): memo[id(node)] = ...`` (``variables`` keeps a
 seen-set walk), and nothing recurses, so both very deep terms (10^5 levels
-and beyond) and heavily shared ones are safe.
+and beyond) and heavily shared ones are safe.  ``repr`` renders at most 121
+tokens, enough for the 120 characters it shows, so it is cheap on any term.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ __all__ = [
     "yield_word",
 ]
 
-_SYMBOL_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_RESERVED_NAME = re.compile(r"x[0-9]+\Z")
+_IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_VARIABLE_NAME = re.compile(r"x[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,9 @@ class Signature:
         if not table:
             raise ValueError("a signature needs at least one operation symbol")
         for name, arity in table.items():
-            if not isinstance(name, str) or not _SYMBOL_NAME.match(name):
+            if not isinstance(name, str) or not _IDENTIFIER.fullmatch(name):
                 raise ValueError(f"invalid operation symbol name {name!r}")
-            if _RESERVED_NAME.match(name):
+            if _VARIABLE_NAME.fullmatch(name):
                 raise ValueError(f"symbol name {name!r} is reserved for variables")
             if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
                 raise ValueError(f"arity of {name!r} must be an integer >= 1, got {arity!r}")
@@ -145,7 +146,7 @@ class App(Term):
         _fill(self, symbol, args)
 
     def __repr__(self) -> str:
-        text = render_term(self)
+        text = _render(self, 120)
         if len(text) > 120:
             text = text[:117] + "..."
         return f"<term {text}>"
@@ -223,6 +224,12 @@ def render_term(t: Term) -> str:
     Public as ``textio.render_term``; defined here so ``repr`` works
     without importing the parser module.
     """
+    return _render(t, None)
+
+
+def _render(t: Term, limit: int | None) -> str:
+    # A limit stops it after limit + 1 tokens: with at least one character
+    # each, they hold more than ``limit`` and begin the whole rendering.
     parts: list[str] = []
     stack: list[object] = [t]
     while stack:
@@ -239,6 +246,8 @@ def render_term(t: Term) -> str:
                 stack.append(args[i])
                 if i:
                     stack.append(",")
+        if limit is not None and len(parts) > limit:
+            break
     return "".join(parts)
 
 

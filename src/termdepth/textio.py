@@ -17,11 +17,10 @@ All rejections raise :class:`ParseError` carrying a byte-offset
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .hypersub import Hypersubstitution
-from .terms import _RESERVED_NAME, _SYMBOL_NAME, Signature, Term, Var, _app, arity_bound, render_term
+from .terms import _IDENTIFIER, _VARIABLE_NAME, Signature, Term, Var, _app, arity_bound, render_term
 
 __all__ = [
     "ParseError",
@@ -34,7 +33,6 @@ __all__ = [
     "render_term",
 ]
 
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _WHITESPACE = " \t\r\n"
 
 
@@ -86,10 +84,11 @@ def _parse_term_from(text: str, pos: int, sig: Signature) -> tuple[Term, int]:
     Runs on an explicit frame stack, so arbitrarily deep input cannot
     overflow the interpreter stack.
     """
+    symbols = sig.symbols
     frames: list[tuple[str, int, int, list[Term]]] = []  # symbol, start, arity, args
     while True:
         pos = _skip_ws(text, pos)
-        m = _IDENT.match(text, pos)
+        m = _IDENTIFIER.match(text, pos)
         if not m:
             raise ParseError(
                 "expected a variable or an operation symbol",
@@ -97,26 +96,24 @@ def _parse_term_from(text: str, pos: int, sig: Signature) -> tuple[Term, int]:
             )
         token = m.group()
         start, pos = pos, m.end()
-        if len(token) > 1 and token[0] == "x" and token[1:].isdigit():
-            if token[1] == "0":
-                raise ParseError(
-                    f"malformed variable {token!r}: index must not start with 0",
-                    _byte_span(text, start, pos),
-                )
-            term: Term = Var(_read_int(text, start + 1, pos, "variable index"))
-        else:
-            arity = sig.symbols.get(token)
-            if arity is None:
-                raise ParseError(f"unknown operation symbol {token!r}", _byte_span(text, start, pos))
+        if token in symbols:  # never a variable: Signature refuses their spelling
             pos = _skip_ws(text, pos)
             if pos >= len(text) or text[pos] != "(":
                 raise ParseError(
                     f"expected '(' after symbol {token!r}",
                     _byte_span(text, pos, min(pos + 1, len(text))),
                 )
-            frames.append((token, start, arity, []))
+            frames.append((token, start, symbols[token], []))
             pos += 1
             continue
+        if not _VARIABLE_NAME.fullmatch(token):
+            raise ParseError(f"unknown operation symbol {token!r}", _byte_span(text, start, pos))
+        if token[1] == "0":
+            raise ParseError(
+                f"malformed variable {token!r}: index must not start with 0",
+                _byte_span(text, start, pos),
+            )
+        term: Term = Var(_read_int(text, start + 1, pos, "variable index"))
         # one term finished: fold it into the enclosing applications
         while True:
             if not frames:
@@ -183,9 +180,9 @@ def parse_signature(text: str) -> Signature:
         if not sep:
             raise _line_error("expected 'name/arity'", text, line, start)
         name = name.rstrip(_WHITESPACE)
-        if not _SYMBOL_NAME.match(name):
+        if not _IDENTIFIER.fullmatch(name):
             raise _line_error(f"invalid operation symbol name {name!r}", text, line, start)
-        if _RESERVED_NAME.match(name):
+        if _VARIABLE_NAME.fullmatch(name):
             raise _line_error(f"symbol name {name!r} is reserved for variables", text, line, start)
         if name in table:
             raise _line_error(f"duplicate operation symbol {name!r}", text, line, start)

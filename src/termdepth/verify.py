@@ -65,12 +65,13 @@ class GenConfig:
     deletion_bias: float = 0.1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        lowest = {"seed": 0, "max_depth": 0, "max_arity": 1, "num_symbols": 1, "var_bound": 1}
+        for name, low in lowest.items():
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.seed >= 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
-        if self.max_arity < 1 or self.num_symbols < 1 or self.var_bound < 1:
-            raise ValueError("max_arity, num_symbols and var_bound must be >= 1")
         for name in ("projection_rate", "deletion_bias"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:

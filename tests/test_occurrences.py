@@ -23,6 +23,13 @@ from termdepth import (
 
 import oracles
 
+# terms that break the signature f1/2, f2/3 (sig23), keyed by how
+FOREIGN_TERMS = {
+    "unknown-symbol": App("f1", (Var(1), App("f1", (App("g", (Var(1),)), Var(2))))),
+    "too-few-arguments": App("f1", (Var(1), App("f2", (Var(1), Var(2))))),
+    "too-many-arguments": App("f1", (App("f1", (Var(1), Var(1))), App("f1", (Var(1), Var(1), Var(1))))),
+}
+
 
 class TestOccurrencePath:
     def test_variable_root(self):
@@ -155,19 +162,15 @@ class TestBOf:
             assert b_of(h, t) == by_traces == oracles.b_of_rec(h, t)
 
     @pytest.mark.parametrize(
-        "t",
-        [
-            App("f1", (Var(1), App("f1", (App("g", (Var(1),)), Var(2))))),
-            App("f1", (Var(1), App("f2", (Var(1), Var(2))))),
-            App("f1", (App("f1", (Var(1), Var(1))), App("f1", (Var(1), Var(1), Var(1))))),
-        ],
-        ids=["unknown-symbol", "too-few-arguments", "too-many-arguments"],
+        "fold,t",
+        [pytest.param(b_of, t, id=name) for name, t in FOREIGN_TERMS.items()]
+        + [pytest.param(apply_hyp, t, id=f"apply_hyp-{name}") for name, t in FOREIGN_TERMS.items()],
     )
-    def test_rejects_foreign_terms_like_validate_term(self, sig23, t):
+    def test_rejects_foreign_terms_like_validate_term(self, sig23, fold, t):
         with pytest.raises(ValueError) as expected:
             sig23.validate_term(t)
         with pytest.raises(ValueError) as got:
-            b_of(identity_hyp(sig23), t)
+            fold(identity_hyp(sig23), t)
         assert str(got.value) == str(expected.value)
 
     def test_b_sum_bounded_by_beta_times_hyp_depth(self, sig23):

@@ -1,0 +1,53 @@
+"""The package surface: the re-exported names and the README's examples."""
+
+import importlib
+import re
+import shlex
+from pathlib import Path
+
+import termdepth
+from termdepth.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+BLOCKS = re.findall(r"^```(\w+)\n(.*?)^```", README, re.M | re.S)
+
+
+def test_all_reexports_every_module_name_once():
+    # termdepth.superpose is the function, so the modules are looked up by path
+    modules = [
+        importlib.import_module(f"termdepth.{name}")
+        for name in ("hypersub", "occurrences", "superpose", "terms", "textio", "verify")
+    ]
+    assert sorted(termdepth.__all__) == sorted(name for m in modules for name in m.__all__)
+    assert len(termdepth.__all__) == len(set(termdepth.__all__))
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(termdepth, name) is getattr(module, name), name
+
+
+def test_readme_quickstart_runs(capsys):
+    (code,) = [body for lang, body in BLOCKS if lang == "python"]
+    exec(code, {})
+    printed = [line.partition("# ")[2] for line in code.splitlines() if line.startswith("print(")]
+    assert capsys.readouterr().out.splitlines() == printed
+
+
+def readme_cli_examples():
+    """``(argv, printed lines)`` for each ``$ termdepth ...`` example."""
+    (session,) = [body for lang, body in BLOCKS if lang == "sh" and "$ termdepth" in body]
+    for example in session.split("\n\n"):
+        command, *printed = example.replace("\\\n", " ").strip().splitlines()
+        yield shlex.split(command.removeprefix("$ "))[1:], printed
+
+
+def test_readme_cli_examples_print_what_they_show(capsys, tmp_path):
+    sig = tmp_path / "binary.sig"
+    sig.write_text("f/2\n")
+    ran = []
+    for argv, printed in readme_cli_examples():
+        if argv[0] == "verify":  # 10^4 trials; the verify command has its own tests
+            continue
+        assert main([str(sig) if arg == "binary.sig" else arg for arg in argv]) == 0
+        assert capsys.readouterr().out.splitlines() == printed
+        ran.append(argv[0])
+    assert ran == ["depth", "compose"]

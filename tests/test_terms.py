@@ -20,6 +20,7 @@ from termdepth import (
     parse_hyp,
     parse_term,
     predict_depth_general,
+    render_term,
     superpose,
     trial_stream,
     variables,
@@ -321,8 +322,20 @@ def shared_chain(levels):
         ),
         pytest.param(SIG2.validate_term, None, id="validate_term"),
         pytest.param(lambda t: t == shared_chain(SHARED_LEVELS), True, id="equality"),
+        pytest.param(repr, "<term " + ("f(" * SHARED_LEVELS)[:117] + "...>", id="repr"),
     ],
 )
 def test_scalar_measures_are_linear_in_distinct_nodes(measure, expected):
     # 2**64 tree positions: a measure that walks positions never returns
     assert measure(shared_chain(SHARED_LEVELS)) == expected
+
+
+def test_repr_is_the_rendering_cut_to_120_characters():
+    # the right spine f(x<n>,f(x<n-1>,...,x1)) renders to 120 characters at n = 19
+    t = Var(1)
+    for i in range(2, 1000):
+        t = App("f", (Var(i), t))
+        if i < 40:
+            text = render_term(t)
+            assert repr(t) == (f"<term {text[:117]}...>" if len(text) > 120 else f"<term {text}>")
+    assert repr(t) == "<term " + render_term(t)[:117] + "...>"

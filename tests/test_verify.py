@@ -42,6 +42,11 @@ class TestGenConfig:
             {"var_bound": 0},
             {"projection_rate": 1.5},
             {"deletion_bias": -0.1},
+            {"max_depth": 2.5},
+            {"max_arity": 2.5},
+            {"var_bound": 2.5},
+            {"num_symbols": "3"},
+            {"seed": True},
         ],
     )
     def test_rejections(self, kwargs):
