@@ -1,19 +1,27 @@
 """Hypersubstitutions: symbol-wise term rewriting lifted to whole terms.
 
-A hypersubstitution assigns to every n-ary symbol an n-ary image term.  Its
-extension rewrites a term bottom-up, superposing the image of each symbol
-onto the rewritten children while leaving variables fixed.  Composition of
-hypersubstitutions and the identity make them a monoid.
+A hypersubstitution assigns to every n-ary symbol an n-ary image term over
+its signature; the public constructor checks each image against the
+signature.  Its extension rewrites a term bottom-up, superposing the image
+of each symbol onto the rewritten children while leaving variables fixed.
+Composition of hypersubstitutions and the identity make them a monoid.
+
+Each image is compiled once per hypersubstitution, on first use, into a
+straight-line program together with its row of per-variable depths and
+its variable set.  ``apply_hyp`` runs one program per distinct node of the
+term, and ``b_of``, ``b_trace`` and ``is_regular_hyp`` read the rows and
+sets, so no call walks an image again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .superpose import is_full, superpose
-from .terms import App, Signature, Term, Var, arity_bound, depth, postorder, variables
+from .superpose import Program, _compile, _run, is_full
+from .terms import App, Signature, Term, Var, _variable_depths, arity_bound, depth, postorder
 
 __all__ = [
     "Hypersubstitution",
@@ -27,12 +35,21 @@ __all__ = [
 ]
 
 
+class _Image(NamedTuple):
+    """What a hypersubstitution uses of one n-ary symbol's image."""
+
+    program: Program  # the image over n argument registers
+    row: tuple[int, ...]  # row[p - 1] is depth_wrt(image, p), for p in 1..n
+    variables: frozenset[int]
+
+
 @dataclass(frozen=True)
 class Hypersubstitution:
     """Total, arity-respecting assignment of an image term to every symbol.
 
-    The image of an n-ary symbol may use only the variables x1..xn; a bare
-    variable is allowed, so projections are representable.
+    The image of an n-ary symbol is a term over the signature that uses
+    only the variables x1..xn; a bare variable is allowed, so projections
+    are representable.
     """
 
     signature: Signature
@@ -53,6 +70,10 @@ class Hypersubstitution:
             bound = arity_bound(image)
             if bound > arity:
                 raise ValueError(f"image of {name!r} uses x{bound} but {name!r} is {arity}-ary")
+            try:
+                self.signature.validate_term(image)
+            except ValueError as exc:
+                raise ValueError(f"image of {name!r}: {exc}") from None
         object.__setattr__(self, "assignment", MappingProxyType(table))
 
     def image(self, name: str) -> Term:
@@ -61,6 +82,32 @@ class Hypersubstitution:
         except KeyError:
             raise ValueError(f"unknown operation symbol {name!r}") from None
 
+    @cached_property
+    def _images(self) -> dict[str, _Image]:
+        # Built on first use, not in __post_init__: many hypersubstitutions
+        # are never applied or measured, such as a composite whose depth
+        # alone is read.  cached_property writes the instance __dict__,
+        # which the frozen dataclass leaves open.
+        out = {}
+        for name, arity in self.signature.symbols.items():
+            image = self.assignment[name]
+            found = _variable_depths(image)
+            row = tuple(found.get(place, 0) for place in range(1, arity + 1))
+            out[name] = _Image(_compile(image, arity), row, frozenset(found))
+        return out
+
+
+def _hyp(sig: Signature, images: dict[str, Term]) -> Hypersubstitution:
+    """Build a Hypersubstitution without the public checks.
+
+    For ones the package builds itself: ``images`` is a fresh dict that maps
+    every symbol of ``sig`` to a term over ``sig`` within its arity.
+    """
+    h = object.__new__(Hypersubstitution)
+    object.__setattr__(h, "signature", sig)
+    object.__setattr__(h, "assignment", MappingProxyType(images))
+    return h
+
 
 def identity_hyp(sig: Signature) -> Hypersubstitution:
     """The unit of composition: each n-ary ``f`` maps to ``f(x1,..,xn)``."""
@@ -68,17 +115,19 @@ def identity_hyp(sig: Signature) -> Hypersubstitution:
         name: App(name, tuple(Var(i) for i in range(1, arity + 1)))
         for name, arity in sig.symbols.items()
     }
-    return Hypersubstitution(sig, images)
+    return _hyp(sig, images)
 
 
 def apply_hyp(h: Hypersubstitution, t: Term) -> Term:
     """Extend ``h`` to the term ``t``.
 
     Variables stay fixed; every application ``f(...)`` becomes the image of
-    ``f`` superposed onto the rewritten children.  The result shares
-    subterm objects, so repeated arguments do not blow up memory.
+    ``f`` superposed onto the rewritten children, by running ``f``'s
+    compiled program on them.  The result shares subterm objects, so
+    repeated arguments do not blow up memory.
     """
     arities = h.signature.symbols
+    images = h._images
     memo: dict[int, Term] = {}
     for node in postorder(t):
         if type(node) is Var:
@@ -86,8 +135,7 @@ def apply_hyp(h: Hypersubstitution, t: Term) -> Term:
             continue
         if arities.get(node.symbol) != len(node.args):
             h.signature.validate_term(node)  # raises: the children already passed
-        children = tuple(memo[id(a)] for a in node.args)
-        memo[id(node)] = superpose(h.assignment[node.symbol], children, len(children))
+        memo[id(node)] = _run(images[node.symbol].program, [memo[id(a)] for a in node.args])
     return memo[id(t)]
 
 
@@ -96,7 +144,7 @@ def compose_hyp(first: Hypersubstitution, second: Hypersubstitution) -> Hypersub
     if first.signature != second.signature:
         raise ValueError("cannot compose hypersubstitutions over different signatures")
     images = {name: apply_hyp(first, image) for name, image in second.assignment.items()}
-    return Hypersubstitution(first.signature, images)
+    return _hyp(first.signature, images)
 
 
 def is_full_hyp(h: Hypersubstitution) -> bool:
@@ -106,8 +154,9 @@ def is_full_hyp(h: Hypersubstitution) -> bool:
 
 def is_regular_hyp(h: Hypersubstitution) -> bool:
     """Whether every image uses exactly the variables x1..xn of its symbol."""
+    images = h._images
     return all(
-        variables(h.assignment[name]) == set(range(1, arity + 1))
+        images[name].variables == set(range(1, arity + 1))
         for name, arity in h.signature.symbols.items()
     )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hypersub import Hypersubstitution
-from .terms import App, Term, Var, _length_map, _variable_depths, postorder
+from .terms import App, Term, Var, _length_map, postorder
 
 __all__ = [
     "BTrace",
@@ -90,30 +90,23 @@ def beta(t: Term, i: int) -> int:
 
 
 def b_trace(h: Hypersubstitution, t: Term, i: int) -> BTrace:
-    """The per-level contributions of ``h`` along the i-th occurrence path of ``t``."""
+    """The per-level contributions of ``h`` along the i-th occurrence path of ``t``.
+
+    Each b-value is read from the row of ``h``'s compiled image of the
+    symbol entered.
+    """
     h.signature.validate_term(t)
     path = occurrence_path(t, i)
-    table = _position_depths(h)
+    images = h._images
     values = [0]
     for place, parent in zip(path.positions, path.chain[1:]):
-        values.append(table[parent.symbol][place - 1])  # type: ignore[union-attr]
+        values.append(images[parent.symbol].row[place - 1])  # type: ignore[union-attr]
     return BTrace(
         occurrence_index=i,
         b_values=tuple(values),
         b_sum=sum(values),
         top_nonzero=values[-1] != 0,
     )
-
-
-def _position_depths(h: Hypersubstitution) -> dict[str, tuple[int, ...]]:
-    # A b-value depends only on (symbol, argument place): row[p - 1] is
-    # depth_wrt(image of symbol, p).  One small table per call covers every
-    # occurrence of the term.
-    table = {}
-    for name, arity in h.signature.symbols.items():
-        per = _variable_depths(h.assignment[name])
-        table[name] = tuple(per.get(place, 0) for place in range(1, arity + 1))
-    return table
 
 
 def b_of(h: Hypersubstitution, t: Term) -> int:
@@ -127,28 +120,29 @@ def b_of(h: Hypersubstitution, t: Term) -> int:
 
     A longest path over the distinct nodes of ``t``, children first, with
     ``best(x) = 0`` and ``best(f(t1..tn)) = max_p(row_f[p] + best(tp))``
-    (``row_f[p]`` is the b-value of place p under f); the nonzero-top filter
-    applies only to the root's edges.  The same pass checks ``t`` against
-    the signature.
+    (``row_f[p]`` is the b-value of place p under f, read from ``h``'s
+    compiled images); the nonzero-top filter applies only to the root's
+    edges.  The same pass checks ``t`` against the signature.
     """
     if type(t) is Var:
         return 0
-    table = _position_depths(h)
+    arities = h.signature.symbols
+    images = h._images
     best: dict[int, int] = {}
     for node in postorder(t):
         if type(node) is Var:
             best[id(node)] = 0
             continue
         args = node.args  # type: ignore[attr-defined]
-        row = table.get(node.symbol, ())  # type: ignore[attr-defined]
-        if len(row) != len(args):
+        if arities.get(node.symbol) != len(args):  # type: ignore[attr-defined]
             h.signature.validate_term(node)  # raises: the children already passed
+        row = images[node.symbol].row  # type: ignore[attr-defined]
         longest = 0
         for b, a in zip(row, args):
             v = b + best[id(a)]
             if v > longest:
                 longest = v
         best[id(node)] = longest
-    root = zip(table[t.symbol], t.args)  # type: ignore[attr-defined]
+    root = zip(images[t.symbol].row, t.args)  # type: ignore[attr-defined]
     return max([b + best[id(a)] for b, a in root if b] or [0])
 

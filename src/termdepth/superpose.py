@@ -33,13 +33,38 @@ def superpose(s: Term, ts: Sequence[Term], n: int) -> Term:
     of distinct nodes even when its unfolded tree is huge.
     """
     ts = _argument_terms(s, ts, n)
-    memo: dict[int, Term] = {}
+    return _run(_compile(s, n), ts)
+
+
+# A straight-line program for an n-ary term: one instruction (symbol,
+# operand registers) per distinct application node, children first, and the
+# register that holds the whole term.  Registers 0..n-1 are the argument
+# terms; instruction k writes register n + k.
+Program = tuple[tuple[tuple[str, tuple[int, ...]], ...], int]
+
+
+def _compile(s: Term, n: int) -> Program:
+    """``s`` as a program over n argument registers; ``s`` must be n-ary."""
+    register: dict[int, int] = {}
+    code: list[tuple[str, tuple[int, ...]]] = []
     for node in postorder(s):
         if type(node) is Var:
-            memo[id(node)] = ts[node.index - 1]
+            register[id(node)] = node.index - 1
         else:
-            memo[id(node)] = _app(node.symbol, tuple([memo[id(a)] for a in node.args]))
-    return memo[id(s)]
+            register[id(node)] = n + len(code)
+            code.append((node.symbol, tuple([register[id(a)] for a in node.args])))
+    return tuple(code), register[id(s)]
+
+
+def _run(program: Program, args: Sequence[Term]) -> Term:
+    """The program's term with ``args[j]`` plugged in for ``x_{j+1}``:
+    shared nodes of the source stay shared, and each argument object is
+    reused wherever its variable occurs."""
+    code, result = program
+    registers = list(args)
+    for symbol, operands in code:
+        registers.append(_app(symbol, tuple([registers[i] for i in operands])))
+    return registers[result]
 
 
 def is_full(t: Term) -> bool:

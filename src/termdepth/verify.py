@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .hypersub import (
     Hypersubstitution,
+    _hyp,
     apply_hyp,
     compose_hyp,
     hyp_depth,
@@ -74,8 +75,8 @@ class GenConfig:
             raise ValueError("seed must be an unsigned 64-bit integer")
         for name in ("projection_rate", "deletion_bias"):
             p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+            if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be a number in [0, 1], got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -237,7 +238,7 @@ def gen_full_hyp(cfg: GenConfig, sig: Signature, rng: random.Random) -> Hypersub
         images[name] = _gen_full(
             rng, target, small, all_names, sig.symbols, first_base_pool=exact
         )
-    return Hypersubstitution(sig, images)
+    return _hyp(sig, images)
 
 
 def _gen_regular_image(cfg: GenConfig, sig: Signature, rng: random.Random, name: str) -> Term:
@@ -274,7 +275,7 @@ def gen_hyp(
         if n >= 2 and rng.random() < cfg.deletion_bias:
             pool = rng.sample(range(1, n + 1), rng.randint(1, n - 1))
         images[name] = gen_term(cfg, sig, rng, var_pool=pool)
-    return Hypersubstitution(sig, images)
+    return _hyp(sig, images)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +323,7 @@ def _hyp_candidates(h: Hypersubstitution) -> Iterator[Hypersubstitution]:
         for candidate in _term_candidates(h.assignment[name]):
             images = dict(h.assignment)
             images[name] = candidate
-            yield Hypersubstitution(h.signature, images)
+            yield _hyp(h.signature, images)
 
 
 def _candidates(value: object) -> Iterator[object]:

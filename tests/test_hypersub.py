@@ -1,6 +1,7 @@
 import pytest
 
 from termdepth import (
+    App,
     GenConfig,
     Hypersubstitution,
     Signature,
@@ -41,6 +42,18 @@ class TestHypersubstitutionType:
     def test_rejects_image_beyond_arity(self, sig2):
         with pytest.raises(ValueError, match="x3"):
             Hypersubstitution(sig2, {"f": parse_term("f(x3,x1)", Signature({"f": 2}))})
+
+    @pytest.mark.parametrize(
+        "image, message",
+        [
+            (App("g", (Var(1),)), "unknown operation symbol 'g'"),
+            (App("f", (Var(2), App("f", (Var(1), App("g", (Var(1),)))))), "unknown operation symbol 'g'"),
+            (App("f", (Var(1),)), "'f' is 2-ary but is applied to 1 arguments"),
+        ],
+    )
+    def test_rejects_image_outside_the_signature(self, sig2, image, message):
+        with pytest.raises(ValueError, match=f"image of 'f': {message}"):
+            Hypersubstitution(sig2, {"f": image})
 
 
 class TestIdentity:

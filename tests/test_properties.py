@@ -1,7 +1,7 @@
 """Law-level property tests over hypothesis-generated terms."""
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from termdepth import (
     App,
@@ -11,6 +11,7 @@ from termdepth import (
     apply_hyp,
     arity_bound,
     b_of,
+    compose_hyp,
     depth,
     depth_report,
     depth_wrt,
@@ -161,3 +162,61 @@ def test_b_of_matches_oracle_on_shared_dags(h, h2, t):
     # variable, so b_of sees a DAG; the oracle walks the unfolded tree
     shared = apply_hyp(h2, t)
     assert b_of(h, shared) == oracles.b_of_rec(h, shared)
+
+
+def _image_over(arity):
+    # Leaves come from x1..x_top for a drawn top <= arity, so some images
+    # delete variables; a bare leaf is a projection.
+    return st.integers(min_value=1, max_value=arity).flatmap(
+        lambda top: st.recursive(
+            st.builds(Var, st.integers(min_value=1, max_value=top)),
+            lambda sub: st.one_of(
+                st.builds(lambda a, b: App("f1", (a, b)), sub, sub),
+                st.builds(lambda a, b, c: App("f2", (a, b, c)), sub, sub, sub),
+            ),
+            max_leaves=5,
+        )
+    )
+
+
+varied_hyps = st.builds(
+    lambda i1, i2: Hypersubstitution(SIG, {"f1": i1, "f2": i2}), _image_over(2), _image_over(3)
+)
+# a composite's images are rewritten terms, so they share subterms
+rewriting_hyps = st.one_of(varied_hyps, st.builds(compose_hyp, varied_hyps, varied_hyps))
+
+
+def _leaf_positions(t, path=()):
+    """(path of argument offsets, leaf object) per leaf, in yield order."""
+    if isinstance(t, Var):
+        return [(path, t)]
+    out = []
+    for k, a in enumerate(t.args):
+        out.extend(_leaf_positions(a, path + (k,)))
+    return out
+
+
+def _at(t, path):
+    for k in path:
+        t = t.args[k]
+    return t
+
+
+@settings(max_examples=100)
+@given(rewriting_hyps, terms)
+def test_apply_hyp_matches_oracle_and_plugs_in_one_object_per_variable(h, t):
+    result = apply_hyp(h, t)
+    # the oracle unfolds the result, which can be exponentially larger
+    assume(length(result) <= 2000)
+    assert result == oracles.apply_hyp_rec(h, t)
+    # the variables are t's own objects, and below the root image every
+    # x_j position holds the same object: the rewritten t_j
+    own = {id(v) for _, v in _leaf_positions(t)}
+    assert all(id(v) in own for _, v in _leaf_positions(result))
+    if isinstance(t, App):
+        plugged = {}
+        for path, v in _leaf_positions(h.image(t.symbol)):
+            plugged.setdefault(v.index, []).append(_at(result, path))
+        for j, objects in plugged.items():
+            assert all(o is objects[0] for o in objects)
+            assert objects[0] == oracles.apply_hyp_rec(h, t.args[j - 1])

@@ -3,19 +3,24 @@ import pytest
 from termdepth import (
     App,
     GenConfig,
+    Hypersubstitution,
     Signature,
     Var,
     apply_hyp,
     arity_bound,
     b_of,
+    b_trace,
+    compose_hyp,
     depth,
     depth_report,
     depth_wrt,
     gen_full_term,
     gen_hyp,
     gen_term,
+    hyp_depth,
     identity_hyp,
     is_full,
+    is_regular_hyp,
     length,
     parse_hyp,
     parse_term,
@@ -328,6 +333,29 @@ def shared_chain(levels):
 def test_scalar_measures_are_linear_in_distinct_nodes(measure, expected):
     # 2**64 tree positions: a measure that walks positions never returns
     assert measure(shared_chain(SHARED_LEVELS)) == expected
+
+
+def test_hypersubstitution_with_a_shared_image_stays_linear_in_distinct_nodes():
+    # Composing with f -> f(c, c), c = f(x1, x1), doubles the image depth
+    # and keeps it shared: after six steps the image is the depth-64 chain
+    # with 2**64 leaves, and rewriting a depth-64 chain gives depth 64 * 64.
+    step = Hypersubstitution(SIG2, {"f": shared_chain(2)})
+    h = Hypersubstitution(SIG2, {"f": shared_chain(1)})
+    for _ in range(6):
+        h = compose_hyp(h, step)
+    assert h.image("f") == shared_chain(SHARED_LEVELS)
+    h = Hypersubstitution(SIG2, dict(h.assignment))  # the public checks, too
+    t = shared_chain(SHARED_LEVELS)
+    rewritten = apply_hyp(h, t)
+    assert depth(rewritten) == SHARED_LEVELS * SHARED_LEVELS
+    assert rewritten == shared_chain(SHARED_LEVELS * SHARED_LEVELS)
+    assert b_of(h, t) == SHARED_LEVELS * SHARED_LEVELS
+    first, last = b_trace(h, t, 1), b_trace(h, t, 2**SHARED_LEVELS)
+    assert first.b_values == (0,) + (SHARED_LEVELS,) * SHARED_LEVELS
+    assert (first.b_sum, first.top_nonzero) == (SHARED_LEVELS * SHARED_LEVELS, True)
+    assert (last.b_sum, last.top_nonzero) == (0, False)
+    assert not is_regular_hyp(h)
+    assert hyp_depth(h) == SHARED_LEVELS
 
 
 def test_repr_is_the_rendering_cut_to_120_characters():

@@ -47,11 +47,28 @@ class TestGenConfig:
             {"var_bound": 2.5},
             {"num_symbols": "3"},
             {"seed": True},
+            {"projection_rate": "0.5"},
+            {"projection_rate": None},
+            {"projection_rate": True},
+            {"deletion_bias": "0.5"},
+            {"deletion_bias": None},
+            {"deletion_bias": True},
+            {"deletion_bias": float("nan")},
         ],
     )
     def test_rejections(self, kwargs):
         with pytest.raises(ValueError):
             GenConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [0, 1, 0.25])
+    def test_rates_accept_ints_and_floats_in_the_unit_interval(self, sig23, value):
+        # an int rate draws exactly as the equal float does
+        as_given = GenConfig(seed=12, projection_rate=value, deletion_bias=value)
+        as_float = GenConfig(seed=12, projection_rate=float(value), deletion_bias=float(value))
+        for trial in range(20):
+            assert gen_hyp(as_given, sig23, trial_stream(12, trial)) == gen_hyp(
+                as_float, sig23, trial_stream(12, trial)
+            )
 
 
 class TestGenTerm:
