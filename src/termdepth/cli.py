@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .hypersub import apply_hyp, is_full_hyp, is_regular_hyp
+from .hypersub import Hypersubstitution, apply_hyp, is_full_hyp, is_regular_hyp
 from .occurrences import b_of
 from .superpose import is_full, predict_depth_general, superpose
 from .terms import Signature, Term, arity_bound, depth, depth_report, depth_wrt
@@ -31,9 +31,25 @@ from .verify import KINDS, GenConfig, check_theorem, signature_supports
 __all__ = ["OutputRecord", "main"]
 
 
+def _render_input(value: object) -> str:
+    """The canonical text of a parsed input, for ``json.dumps``."""
+    if isinstance(value, Term):
+        return render_term(value)
+    if isinstance(value, Signature):
+        return render_signature(value)
+    if isinstance(value, Hypersubstitution):
+        return render_hyp(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 @dataclass
 class OutputRecord:
-    """Result of one invocation, renderable as text or as one JSON object."""
+    """Result of one invocation, renderable as text or as one JSON object.
+
+    ``inputs`` holds the parsed objects (terms, signature, hypersubstitution)
+    as they were read; they are rendered to canonical text only when the
+    record is written as JSON, so text mode never renders them.
+    """
 
     command: str
     inputs: dict
@@ -48,7 +64,8 @@ class OutputRecord:
                 "inputs": self.inputs,
                 "result": self.result,
                 "discrepancies": self.discrepancies,
-            }
+            },
+            default=_render_input,
         )
 
     def to_text(self) -> str:
@@ -81,7 +98,7 @@ def _bool_text(value: bool) -> str:
 def _cmd_depth(args) -> OutputRecord:
     sig = _load_signature(args)
     t = _load_term(args, sig)
-    inputs = {"signature": render_signature(sig), "term": render_term(t)}
+    inputs = {"signature": sig, "term": t}
     if args.wrt is not None:
         value = depth_wrt(t, args.wrt)
         return OutputRecord(
@@ -121,11 +138,7 @@ def _cmd_compose(args) -> OutputRecord:
     outer = parse_term(args.outer, sig)
     ts = [parse_term(text, sig) for text in args.args]
     n = args.n if args.n is not None else arity_bound(outer)
-    inputs = {
-        "signature": render_signature(sig),
-        "outer": render_term(outer),
-        "args": [render_term(t) for t in ts],
-    }
+    inputs = {"signature": sig, "outer": outer, "args": ts}
     predicted = predict_depth_general(outer, ts, n)
     if args.predict_only:
         return OutputRecord(
@@ -141,30 +154,26 @@ def _cmd_apply(args) -> OutputRecord:
     sig = _load_signature(args)
     h = parse_hyp(_read(args.hyp), sig)
     t = _load_term(args, sig)
-    inputs = {
-        "signature": render_signature(sig),
-        "hyp": render_hyp(h),
-        "term": render_term(t),
-    }
+    inputs = {"signature": sig, "hyp": h, "term": t}
     return _result_record("apply", inputs, apply_hyp(h, t), b_of(h, t))
 
 
 def _cmd_check(args) -> OutputRecord:
     sig = _load_signature(args)
-    inputs: dict = {"signature": render_signature(sig)}
+    inputs: dict = {"signature": sig}
     if args.full is not None:
         t = parse_term(args.full, sig)
-        inputs["term"] = render_term(t)
+        inputs["term"] = t
         answer = is_full(t)
         predicate = "full"
     elif args.full_hyp is not None:
         h = parse_hyp(_read(args.full_hyp), sig)
-        inputs["hyp"] = render_hyp(h)
+        inputs["hyp"] = h
         answer = is_full_hyp(h)
         predicate = "full-hyp"
     else:
         h = parse_hyp(_read(args.regular), sig)
-        inputs["hyp"] = render_hyp(h)
+        inputs["hyp"] = h
         answer = is_regular_hyp(h)
         predicate = "regular"
     return OutputRecord(
@@ -192,7 +201,7 @@ def _cmd_verify(args) -> OutputRecord:
         kinds = [args.theorem]
         skipped = []
     inputs = {
-        "signature": render_signature(sig),
+        "signature": sig,
         "theorem": args.theorem,
         "trials": args.trials,
         "seed": args.seed,

@@ -5,9 +5,10 @@ to exactly arity-many subterms.  Depth is tree height: 0 for a variable,
 1 + the maximum child depth for an application.  ``depth_wrt`` restricts
 the measure to paths that reach a chosen variable.
 
-Terms are immutable and may share subterm objects freely.  Each node caches
-its depth and arity bound when it is built, so ``depth`` and ``arity_bound``
-take O(1) time.  The other measures are folds over the distinct nodes,
+Terms are immutable and may share subterm objects freely; a parsed term
+holds one ``Var`` object per variable index.  Each node caches its depth
+and arity bound when it is built, so ``depth`` and ``arity_bound`` take
+O(1) time.  The other measures are folds over the distinct nodes,
 ``for node in postorder(t): memo[id(node)] = ...`` (``variables`` keeps a
 seen-set walk), and nothing recurses, so both very deep terms (10^5 levels
 and beyond) and heavily shared ones are safe.  ``repr`` renders at most 121

@@ -11,15 +11,23 @@ files one ``name -> term`` per line.  Blank lines and ``#`` comments are
 ignored in both.  Rendering is canonical (no whitespace), so rendered text
 round-trips byte-exactly and is suitable for golden files.
 
+A term is parsed in one linear pass: one compiled regex splits the text
+into tokens (an identifier, or any other single non-whitespace character),
+and the token list is folded on an explicit frame stack.  Each variable
+index is read into one shared ``Var`` per call.
+
 All rejections raise :class:`ParseError` carrying a byte-offset
-:class:`SourceSpan` into the original input.
+:class:`SourceSpan` into the original input.  Positions are worked out only
+when an error is raised, by scanning the text again.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import islice
 
-from .hypersub import Hypersubstitution
+from .hypersub import Hypersubstitution, _hyp
 from .terms import _IDENTIFIER, _VARIABLE_NAME, Signature, Term, Var, _app, arity_bound, render_term
 
 __all__ = [
@@ -34,6 +42,8 @@ __all__ = [
 ]
 
 _WHITESPACE = " \t\r\n"
+# An identifier, or any other single character that is not whitespace.
+_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[^ \t\r\n]")
 
 
 @dataclass(frozen=True)
@@ -72,83 +82,93 @@ def _read_int(text: str, start: int, end: int, what: str) -> int:
         ) from None
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos] in _WHITESPACE:
-        pos += 1
-    return pos
+def _token_span(text: str, k: int) -> tuple[int, int]:
+    """Character offsets of the ``k``-th token, or an empty range at the end.
+
+    Scans the text again, so it is for error paths only.
+    """
+    m = next(islice(_TOKEN.finditer(text), k, None), None)
+    return m.span() if m else (len(text), len(text))
 
 
-def _parse_term_from(text: str, pos: int, sig: Signature) -> tuple[Term, int]:
-    """Parse one term starting at ``pos``; return it and the next position.
+def _at_token(message: str, text: str, k: int) -> ParseError:
+    """A ParseError spanning the first character of the ``k``-th token."""
+    start, end = _token_span(text, k)
+    return ParseError(message, _byte_span(text, start, min(start + 1, end)))
 
-    Runs on an explicit frame stack, so arbitrarily deep input cannot
-    overflow the interpreter stack.
+
+def _between_tokens(message: str, text: str, first: int, last: int) -> ParseError:
+    """A ParseError spanning the ``first`` through the ``last`` token."""
+    start, end = _token_span(text, first)[0], _token_span(text, last)[1]
+    return ParseError(message, _byte_span(text, start, end))
+
+
+def _variable(text: str, k: int, token: str) -> Var:
+    """The variable spelt by ``token``, the ``k``-th token of ``text``."""
+    if not _IDENTIFIER.match(token):
+        raise _at_token("expected a variable or an operation symbol", text, k)
+    start, end = _token_span(text, k)
+    if not _VARIABLE_NAME.fullmatch(token):
+        raise ParseError(f"unknown operation symbol {token!r}", _byte_span(text, start, end))
+    if token[1] == "0":
+        raise ParseError(
+            f"malformed variable {token!r}: index must not start with 0",
+            _byte_span(text, start, end),
+        )
+    return Var(_read_int(text, start + 1, end, "variable index"))
+
+
+def parse_term(text: str, sig: Signature) -> Term:
+    """Parse a single term; the whole input must be consumed.
+
+    One regex pass splits the text into tokens, which are folded on an
+    explicit frame stack, so arbitrarily deep input cannot overflow the
+    interpreter stack.  Each variable index becomes one shared ``Var``.
     """
     symbols = sig.symbols
-    frames: list[tuple[str, int, int, list[Term]]] = []  # symbol, start, arity, args
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # past the last token; no rule accepts an empty one
+    leaves: dict[str, Var] = {}
+    frames: list[tuple[str, int, int, list[Term]]] = []  # symbol, its token, arity, args
+    k = 0
     while True:
-        pos = _skip_ws(text, pos)
-        m = _IDENTIFIER.match(text, pos)
-        if not m:
-            raise ParseError(
-                "expected a variable or an operation symbol",
-                _byte_span(text, pos, min(pos + 1, len(text))),
-            )
-        token = m.group()
-        start, pos = pos, m.end()
+        token = tokens[k]
+        k += 1
         if token in symbols:  # never a variable: Signature refuses their spelling
-            pos = _skip_ws(text, pos)
-            if pos >= len(text) or text[pos] != "(":
-                raise ParseError(
-                    f"expected '(' after symbol {token!r}",
-                    _byte_span(text, pos, min(pos + 1, len(text))),
-                )
-            frames.append((token, start, symbols[token], []))
-            pos += 1
+            if tokens[k] != "(":
+                raise _at_token(f"expected '(' after symbol {token!r}", text, k)
+            frames.append((token, k - 1, symbols[token], []))
+            k += 1
             continue
-        if not _VARIABLE_NAME.fullmatch(token):
-            raise ParseError(f"unknown operation symbol {token!r}", _byte_span(text, start, pos))
-        if token[1] == "0":
-            raise ParseError(
-                f"malformed variable {token!r}: index must not start with 0",
-                _byte_span(text, start, pos),
-            )
-        term: Term = Var(_read_int(text, start + 1, pos, "variable index"))
+        term: Term | None = leaves.get(token)
+        if term is None:
+            term = leaves[token] = _variable(text, k - 1, token)
         # one term finished: fold it into the enclosing applications
         while True:
             if not frames:
-                return term, pos
-            symbol, sym_start, arity, args = frames[-1]
+                if tokens[k]:
+                    start = _token_span(text, k)[0]
+                    raise ParseError("trailing input after term", _byte_span(text, start, len(text)))
+                return term
+            symbol, sym_k, arity, args = frames[-1]
             args.append(term)
-            pos = _skip_ws(text, pos)
-            if pos < len(text) and text[pos] == ",":
+            token = tokens[k]
+            k += 1
+            if token == ",":
                 if len(args) >= arity:
-                    raise ParseError(
-                        f"too many arguments for {symbol!r} (arity {arity})",
-                        _byte_span(text, sym_start, pos + 1),
+                    raise _between_tokens(
+                        f"too many arguments for {symbol!r} (arity {arity})", text, sym_k, k - 1
                     )
-                pos += 1
                 break
-            if pos < len(text) and text[pos] == ")":
-                pos += 1
+            if token == ")":
                 if len(args) != arity:
-                    raise ParseError(
-                        f"{symbol!r} is {arity}-ary but got {len(args)} argument(s)",
-                        _byte_span(text, sym_start, pos),
+                    raise _between_tokens(
+                        f"{symbol!r} is {arity}-ary but got {len(args)} argument(s)", text, sym_k, k - 1
                     )
                 frames.pop()
                 term = _app(symbol, tuple(args))
                 continue
-            raise ParseError("expected ',' or ')'", _byte_span(text, pos, min(pos + 1, len(text))))
-
-
-def parse_term(text: str, sig: Signature) -> Term:
-    """Parse a single term; the whole input must be consumed."""
-    term, pos = _parse_term_from(text, 0, sig)
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise ParseError("trailing input after term", _byte_span(text, pos, len(text)))
-    return term
+            raise _at_token("expected ',' or ')'", text, k - 1)
 
 
 def _logical_lines(text: str):
@@ -236,7 +256,7 @@ def parse_hyp(text: str, sig: Signature) -> Hypersubstitution:
     if missing:
         end = len(text.encode())
         raise ParseError(f"missing image(s) for: {', '.join(missing)}", SourceSpan(end, end))
-    return Hypersubstitution(sig, images)
+    return _hyp(sig, images)
 
 
 def render_signature(sig: Signature) -> str:

@@ -329,3 +329,92 @@ class TestUsageErrors:
         code, _, err = run(capsys, "depth", str(bad), "--expr", "x1")
         assert code == 2
         assert "error:" in err
+
+
+# Inputs with comments, blank lines and spacing, so that the `inputs` field
+# shows the canonical renders, not the text as given.
+PINNED_HYP = "# swap the binary symbol\nf1 -> f1( x2 , x1 )\n\nf2 -> f2(x1, f1(x3,x3), x2)  # keep\n"
+PINNED_TERM = " f2( f1(x1,x1), f1( x1 ,x2) , x3 ) "
+PINNED_COMPOSE = ["--outer", "f2(x2, f1(x1,x3), x3)", "--args", "f1(x1,x2)", " x2 ", "f2(x1 ,x1,x2)"]
+
+# The exact --json stdout of each command on the inputs above.
+PINNED_JSON = {
+    "depth": ("depth", "{sig}", "--expr", PINNED_TERM),
+    "depth-wrt": ("depth", "{sig}", "--wrt", "3", "--expr", PINNED_TERM),
+    "compose": ("compose", "{sig}", *PINNED_COMPOSE),
+    "compose-predict-only": ("compose", "{sig}", *PINNED_COMPOSE, "--predict-only"),
+    "apply": ("apply", "{sig}", "{hyp}", "--expr", PINNED_TERM),
+    "check-full": ("check", "{sig}", "--full", " f2(f1(x2, x1), x3, f1(x1,x1)) "),
+    "check-regular": ("check", "{sig}", "--regular", "{hyp}"),
+    "verify-thm3.3": ("verify", "{sig}", "--theorem", "thm3.3", "--trials", "30", "--seed", "5"),
+}
+
+PINNED_STDOUT = {
+    'apply': (
+        '{"command": "apply", "inputs": {"signature": "f1/2\\nf2/3", "hyp": "f1 -> f1(x2,x1)\\nf2 -> f2(x1,f1(x3,x3),x2)", "term": "f2(f1(x1,x1),f1(x1,x2),x3)"}'
+        ', "result": {"term": "f2(f1(x1,x1),f1(x3,x3),f1(x2,x1))", "depth": 2, "predicted": 2, "agree": true}, "discrepancies": []}\n'
+    ),
+    'check-full': (
+        '{"command": "check", "inputs": {"signature": "f1/2\\nf2/3", "term": "f2(f1(x2,x1),x3,f1(x1,x1))"}'
+        ', "result": {"predicate": "full", "holds": false}, "discrepancies": []}\n'
+    ),
+    'check-regular': (
+        '{"command": "check", "inputs": {"signature": "f1/2\\nf2/3", "hyp": "f1 -> f1(x2,x1)\\nf2 -> f2(x1,f1(x3,x3),x2)"}'
+        ', "result": {"predicate": "regular", "holds": true}, "discrepancies": []}\n'
+    ),
+    'compose': (
+        '{"command": "compose", "inputs": {"signature": "f1/2\\nf2/3", "outer": "f2(x2,f1(x1,x3),x3)", "args": ["f1(x1,x2)", "x2", "f2(x1,x1,x2)"]}'
+        ', "result": {"term": "f2(x2,f1(f1(x1,x2),f2(x1,x1,x2)),f2(x1,x1,x2))", "depth": 3, "predicted": 3, "agree": true}, "discrepancies": []}\n'
+    ),
+    'compose-predict-only': (
+        '{"command": "compose", "inputs": {"signature": "f1/2\\nf2/3", "outer": "f2(x2,f1(x1,x3),x3)", "args": ["f1(x1,x2)", "x2", "f2(x1,x1,x2)"]}'
+        ', "result": {"predicted": 3}, "discrepancies": []}\n'
+    ),
+    'depth': (
+        '{"command": "depth", "inputs": {"signature": "f1/2\\nf2/3", "term": "f2(f1(x1,x1),f1(x1,x2),x3)"}'
+        ', "result": {"depth": 2, "per_variable": {"1": 2, "2": 2, "3": 1}, "vars": [1, 2, 3]}, "discrepancies": []}\n'
+    ),
+    'depth-wrt': (
+        '{"command": "depth", "inputs": {"signature": "f1/2\\nf2/3", "term": "f2(f1(x1,x1),f1(x1,x2),x3)"}'
+        ', "result": {"wrt": 3, "depth": 1}, "discrepancies": []}\n'
+    ),
+    'verify-thm3.3': (
+        '{"command": "verify", "inputs": {"signature": "f1/2\\nf2/3", "theorem": "thm3.3", "trials": 30, "seed": 5, "max_depth": 6, "projection_rate": 0.1, "deletion_bias": 0.1}'
+        ', "result": {"checks": {"thm3.3": {"trials": 30, "discrepancies": 0}}}, "discrepancies": []}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_JSON))
+def test_json_output_is_pinned(capsys, tmp_path, name):
+    sig = tmp_path / "mixed.sig"
+    sig.write_text("# two symbols\nf1 / 2\n\nf2/3\n")
+    hyp = tmp_path / "mixed.hyp"
+    hyp.write_text(PINNED_HYP)
+    argv = [a.format(sig=sig, hyp=hyp) for a in PINNED_JSON[name]]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert out == PINNED_STDOUT[name]
+
+
+def test_text_mode_does_not_render_inputs(capsys, monkeypatch, tmp_path):
+    # text mode prints no input, so it must not pay for rendering one
+    def refuse(*args):
+        raise AssertionError("rendered an input in text mode")
+
+    for name in ("render_term", "render_signature", "render_hyp"):
+        monkeypatch.setattr(f"termdepth.cli.{name}", refuse)
+    sig = tmp_path / "binary.sig"
+    sig.write_text("f/2\n")
+    hyp = tmp_path / "swap.hyp"
+    hyp.write_text("f -> f(x2,x1)\n")
+    for argv in (
+        ["depth", str(sig), "--expr", "f(x1,f(x1,x2))"],
+        ["depth", str(sig), "--wrt", "2", "--expr", "f(x1,f(x1,x2))"],
+        ["compose", str(sig), "--outer", "f(x2,x1)", "--args", "x1", "x2", "--predict-only"],
+        ["check", str(sig), "--full", "f(x2,x1)"],
+        ["check", str(sig), "--regular", str(hyp)],
+        ["verify", str(sig), "--theorem", "thm3.3", "--trials", "5"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -13,6 +14,7 @@ from termdepth import (
     parse_hyp,
     parse_signature,
     parse_term,
+    postorder,
     render_hyp,
     render_signature,
     render_term,
@@ -132,6 +134,20 @@ class TestParseTerm:
         t = parse_term(text, sig2)
         assert render_term(t) == text
 
+    def test_each_variable_index_is_one_object(self, sig2):
+        t = parse_term("f(x1,x1)", sig2)
+        assert t.args[0] is t.args[1]
+        t = parse_term("f(f(x2, x1), f(x1, x2))", sig2)
+        assert t.args[0].args[0] is t.args[1].args[1]
+        assert t.args[0].args[1] is t.args[1].args[0]
+
+    def test_deep_spine_shares_its_leaves(self, sig2):
+        # the 10^4-level spine f(f(...f(x1,x2)...,x2),x2): its 10^4
+        # applications, one x1 and one x2
+        n = 10_000
+        t = parse_term("f(" * n + "x1" + ",x2)" * n, sig2)
+        assert sum(1 for _ in postorder(t)) == n + 2
+
     def test_unicode_rejected_with_byte_span(self, sig2):
         text = "f(é,x2)"
         with pytest.raises(ParseError) as info:
@@ -235,13 +251,94 @@ class TestRendering:
             assert render_term(parse_term(text, sig)) == text
 
 
-class TestFuzz:
-    CHARSET = "fgx123(),_ \t\nabhijk/->#"
+FUZZ_CHARSET = "fgx123(),_ \t\nabhijk/->#"
 
+
+def random_strings():
+    """Short strings over the grammar's characters and a few strangers."""
+    rng = random.Random(424242)
+    for _ in range(2000):
+        yield "".join(rng.choice(FUZZ_CHARSET) for _ in range(rng.randint(0, 30)))
+
+
+def mutated_renders(sig):
+    """Renders of generated terms with one to three characters changed."""
+    rng = random.Random(99)
+    cfg = GenConfig(seed=99, max_depth=4, var_bound=3)
+    for trial in range(500):
+        t = gen_term(cfg, sig, trial_stream(99, trial))
+        text = list(render_term(t))
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.randrange(3)
+            pos = rng.randrange(len(text)) if text else 0
+            if kind == 0 and text:
+                del text[pos]
+            elif kind == 1:
+                text.insert(pos, rng.choice(FUZZ_CHARSET))
+            elif text:
+                text[pos] = rng.choice(FUZZ_CHARSET)
+        yield "".join(text)
+
+
+# Terms over sig23 with multi-byte characters, which make byte spans differ
+# from character positions, and other edge cases the fuzz corpora rarely hit.
+TERM_TEXTS = [
+    "",
+    "  \t\n",
+    "\u00e9",
+    "f1(x1,\u00e9)",
+    "f1(\u00e9\u00e9,x1)",
+    "f1(x1,\u3000x2)",
+    "f1(x1,x2)\u3000",
+    "\u00e9 f1(x1,x2)",
+    "f1(x1,x2) \u00e9\u00e9",
+    "f1\u00e9(x1,x2)",
+    "f1 \u00e9",
+    "f1(x1 \u00e9",
+    "f2(x1,x2\u00e9",
+    "f2(x1,x2,x3,\u00e9",
+    "x\u00e9",
+    "x1\u00e9",
+    "x0",
+    "x1_",
+    "f1_(x1,x2)",
+    "f1 ( x1 , f2 ( x1 , x2 , x3 ) ) ",
+    "f1(x1,x2)\n\n",
+    "f1(x1,f2(x1,x2,x3),x2)",
+    "f2(x1,x2)",
+    "f1(,x1)",
+    "f1(x1,x2))",
+    "f1((x1,x2)",
+    "f1(x1,x" + "9" * 5000 + ")",
+]
+
+# Hypersubstitution files over sig23, each broken in one place or valid.
+HYP_LINES = [
+    "f1 -> f1(x2,x1)\nf2 -> f2(x1,x1,x2)",
+    "f1 -> f1(x2,x1)\n  f2 -> f2(x1,x1,x2",
+    "f1 -> f1(x2,x1)",
+    "f1 -> f1(x3,x1)\nf2 -> x1",
+    "f1 -> x1\nf1 -> x2",
+    "  h -> x1",
+    "f1 = x1",
+    "f1 -> \nf2 -> x3",
+    "# \u00e9\nf1 -> f1(x1,\u00e9)\nf2 -> x1",
+    "f1 -> f1(x1,x2)  x3\nf2 -> x1",
+    "f1 -> f2(x1,x2)\nf2 -> x1",
+    "f1 -> f1(x1,x" + "9" * 5000 + ")\nf2 -> x1",
+]
+
+
+def _outcome(parse, render, text, sig) -> str:
+    try:
+        return "ok " + render(parse(text, sig))
+    except ParseError as exc:
+        return f"error {exc.message} {exc.span.start} {exc.span.end}"
+
+
+class TestFuzz:
     def test_random_strings_never_crash(self, sig23):
-        rng = random.Random(424242)
-        for _ in range(2000):
-            text = "".join(rng.choice(self.CHARSET) for _ in range(rng.randint(0, 30)))
+        for text in random_strings():
             try:
                 term = parse_term(text, sig23)
             except ParseError:
@@ -249,22 +346,20 @@ class TestFuzz:
             sig23.validate_term(term)
 
     def test_mutated_renders_never_crash(self, sig23):
-        rng = random.Random(99)
-        cfg = GenConfig(seed=99, max_depth=4, var_bound=3)
-        for trial in range(500):
-            t = gen_term(cfg, sig23, trial_stream(99, trial))
-            text = list(render_term(t))
-            for _ in range(rng.randint(1, 3)):
-                kind = rng.randrange(3)
-                pos = rng.randrange(len(text)) if text else 0
-                if kind == 0 and text:
-                    del text[pos]
-                elif kind == 1:
-                    text.insert(pos, rng.choice(self.CHARSET))
-                elif text:
-                    text[pos] = rng.choice(self.CHARSET)
+        for text in mutated_renders(sig23):
             try:
-                term = parse_term("".join(text), sig23)
+                term = parse_term(text, sig23)
             except ParseError:
                 continue
             sig23.validate_term(term)
+
+    def test_outcomes_are_pinned(self, sig23):
+        # The rendered term, or the error message with its byte span, of every
+        # fuzz input and of a few hypersubstitution files.  A change to the
+        # parser must keep each of them, messages and spans alike.
+        outcomes = [_outcome(parse_term, render_term, t, sig23) for t in random_strings()]
+        outcomes += [_outcome(parse_term, render_term, t, sig23) for t in mutated_renders(sig23)]
+        outcomes += [_outcome(parse_term, render_term, t, sig23) for t in TERM_TEXTS]
+        outcomes += [_outcome(parse_hyp, render_hyp, t, sig23) for t in HYP_LINES]
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == "6795af68ac3ac0d7d6215fffd802fe4d86656acdf98ab69e54954f528602e602"
