@@ -43,7 +43,7 @@ __all__ = [
 
 _WHITESPACE = " \t\r\n"
 # An identifier, or any other single character that is not whitespace.
-_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[^ \t\r\n]")
+_TOKEN = re.compile(f"{_IDENTIFIER.pattern}|[^{re.escape(_WHITESPACE)}]")
 
 
 @dataclass(frozen=True)
@@ -72,14 +72,17 @@ def _byte_span(text: str, start: int, end: int) -> SourceSpan:
     return SourceSpan(len(text[:start].encode()), len(text[:end].encode()))
 
 
+def _too_many_digits(what: str, text: str, start: int, end: int) -> ParseError:
+    # int() refuses more than sys.get_int_max_str_digits() digits
+    return ParseError(f"{what} has too many digits ({end - start})", _byte_span(text, start, end))
+
+
 def _read_int(text: str, start: int, end: int, what: str) -> int:
     """The ASCII digits ``text[start:end]`` as an integer."""
     try:
         return int(text[start:end])
-    except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
-        raise ParseError(
-            f"{what} has too many digits ({end - start})", _byte_span(text, start, end)
-        ) from None
+    except ValueError:
+        raise _too_many_digits(what, text, start, end) from None
 
 
 def _token_span(text: str, k: int) -> tuple[int, int]:
@@ -97,6 +100,11 @@ def _at_token(message: str, text: str, k: int) -> ParseError:
     return ParseError(message, _byte_span(text, start, min(start + 1, end)))
 
 
+def _on_token(message: str, text: str, k: int) -> ParseError:
+    """A ParseError spanning the whole ``k``-th token."""
+    return ParseError(message, _byte_span(text, *_token_span(text, k)))
+
+
 def _between_tokens(message: str, text: str, first: int, last: int) -> ParseError:
     """A ParseError spanning the ``first`` through the ``last`` token."""
     start, end = _token_span(text, first)[0], _token_span(text, last)[1]
@@ -104,18 +112,22 @@ def _between_tokens(message: str, text: str, first: int, last: int) -> ParseErro
 
 
 def _variable(text: str, k: int, token: str) -> Var:
-    """The variable spelt by ``token``, the ``k``-th token of ``text``."""
-    if not _IDENTIFIER.match(token):
-        raise _at_token("expected a variable or an operation symbol", text, k)
-    start, end = _token_span(text, k)
-    if not _VARIABLE_NAME.fullmatch(token):
-        raise ParseError(f"unknown operation symbol {token!r}", _byte_span(text, start, end))
-    if token[1] == "0":
-        raise ParseError(
-            f"malformed variable {token!r}: index must not start with 0",
-            _byte_span(text, start, end),
-        )
-    return Var(_read_int(text, start + 1, end, "variable index"))
+    """The variable spelt by ``token``, the ``k``-th token of ``text``.
+
+    Reads the index from the token itself; the text is scanned again only
+    to place an error.
+    """
+    if _VARIABLE_NAME.fullmatch(token):
+        if token[1] == "0":
+            raise _on_token(f"malformed variable {token!r}: index must not start with 0", text, k)
+        try:
+            return Var(int(token[1:]))
+        except ValueError:
+            start, end = _token_span(text, k)
+            raise _too_many_digits("variable index", text, start + 1, end) from None
+    if _IDENTIFIER.match(token):
+        raise _on_token(f"unknown operation symbol {token!r}", text, k)
+    raise _at_token("expected a variable or an operation symbol", text, k)
 
 
 def parse_term(text: str, sig: Signature) -> Term:

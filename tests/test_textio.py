@@ -8,7 +8,9 @@ from termdepth import (
     App,
     GenConfig,
     ParseError,
+    Signature,
     Var,
+    arity_bound,
     gen_signature,
     gen_term,
     parse_hyp,
@@ -221,6 +223,18 @@ class TestParseScale:
         assert len(sig.symbols) == lines
         assert render_term(h.image(f"g{lines - 1}")) == f"g{lines - 1}(x2,x1)"
         assert elapsed < 3.0, f"parsing {lines} signature and hyp lines took {elapsed:.2f} s"
+
+    def test_many_distinct_variables_parse_in_linear_time(self):
+        # placing every distinct variable token in the text made parsing
+        # quadratic in their number: this comb once took about 37 s
+        n = 10_000
+        text = "".join(f"f(x{k}," for k in range(1, n)) + f"x{n}" + ")" * (n - 1)
+        start = time.perf_counter()
+        t = parse_term(text, Signature({"f": 2}))
+        elapsed = time.perf_counter() - start
+        assert sum(1 for _ in postorder(t)) == 2 * n - 1
+        assert arity_bound(t) == n
+        assert elapsed < 3.0, f"parsing a {n}-level comb of distinct variables took {elapsed:.2f} s"
 
 
 class TestRendering:
