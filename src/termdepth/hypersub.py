@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .superpose import Program, _compile, _run, is_full
-from .terms import App, Signature, Term, Var, _variable_depths, arity_bound, depth, postorder
+from .terms import App, Signature, Term, Var, _order, _variable_depths, arity_bound, depth
 
 __all__ = [
     "Hypersubstitution",
@@ -129,7 +129,7 @@ def apply_hyp(h: Hypersubstitution, t: Term) -> Term:
     arities = h.signature.symbols
     images = h._images
     memo: dict[int, Term] = {}
-    for node in postorder(t):
+    for node in _order(t):
         if type(node) is Var:
             memo[id(node)] = node
             continue

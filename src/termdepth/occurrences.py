@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hypersub import Hypersubstitution
-from .terms import App, Term, Var, _length_map, postorder
+from .terms import App, Term, Var, _length_map, _order
 
 __all__ = [
     "BTrace",
@@ -129,7 +129,7 @@ def b_of(h: Hypersubstitution, t: Term) -> int:
     arities = h.signature.symbols
     images = h._images
     best: dict[int, int] = {}
-    for node in postorder(t):
+    for node in _order(t):
         if type(node) is Var:
             best[id(node)] = 0
             continue

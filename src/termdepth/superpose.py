@@ -4,13 +4,24 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .terms import Signature, Term, Var, _app, _variable_depths, arity_bound, depth, postorder
+from .terms import (
+    Signature,
+    Term,
+    Var,
+    _app,
+    _check_arity,
+    _order,
+    _variable_depths,
+    arity_bound,
+    depth,
+)
 
 __all__ = ["is_full", "predict_depth_full", "predict_depth_general", "superpose"]
 
 
 def _argument_terms(s: Term, ts: Sequence[Term], n: int) -> tuple[Term, ...]:
     """``ts`` as a tuple, once it is known to hold n Terms and ``s`` to be n-ary."""
+    _check_arity(n)
     ts = tuple(ts)
     if len(ts) != n:
         raise ValueError(f"expected {n} argument terms, got {len(ts)}")
@@ -47,7 +58,7 @@ def _compile(s: Term, n: int) -> Program:
     """``s`` as a program over n argument registers; ``s`` must be n-ary."""
     register: dict[int, int] = {}
     code: list[tuple[str, tuple[int, ...]]] = []
-    for node in postorder(s):
+    for node in _order(s):
         if type(node) is Var:
             register[id(node)] = node.index - 1
         else:
@@ -77,7 +88,7 @@ def is_full(t: Term) -> bool:
     if type(t) is Var:
         return False
     memo: dict[int, bool] = {}
-    for node in postorder(t):
+    for node in _order(t):
         if type(node) is Var:
             memo[id(node)] = False
             continue

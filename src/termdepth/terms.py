@@ -8,11 +8,20 @@ the measure to paths that reach a chosen variable.
 Terms are immutable and may share subterm objects freely; a parsed term
 holds one ``Var`` object per variable index.  Each node caches its depth
 and arity bound when it is built, so ``depth`` and ``arity_bound`` take
-O(1) time.  The other measures are folds over the distinct nodes,
-``for node in postorder(t): memo[id(node)] = ...`` (``variables`` keeps a
-seen-set walk), and nothing recurses, so both very deep terms (10^5 levels
-and beyond) and heavily shared ones are safe.  ``repr`` renders at most 121
-tokens, enough for the 120 characters it shows, so it is cheap on any term.
+O(1) time.  The other measures are folds over the distinct nodes in one
+idiom, ``for node in _order(t): memo[id(node)] = ...``: ``_order`` lists
+each distinct node once, children first, from one explicit stack
+(``variables`` keeps a seen-set walk).  The public ``postorder`` iterates
+the same list, so it needs O(distinct nodes) memory before its first item.
+Nothing recurses, so both very deep terms (10^5 levels and beyond) and
+heavily shared ones are safe.  ``repr`` renders at most 121 tokens, enough
+for the 120 characters it shows, so it is cheap on any term.
+
+Being immutable, a term is its own copy: ``copy.copy`` and
+``copy.deepcopy`` return it unchanged.  A term pickles as a table of its
+distinct nodes in ``_order``, so the pickle is linear in the distinct
+nodes; unpickling rebuilds the table through the ``Var`` and ``App``
+checks, keeps the sharing, and computes the hashes in the loading process.
 """
 
 from __future__ import annotations
@@ -87,7 +96,7 @@ class Signature:
 
     def validate_term(self, t: Term) -> None:
         """Raise ValueError unless every application in ``t`` matches this signature."""
-        for node in postorder(t):
+        for node in _order(t):
             if type(node) is App:
                 arity = self.arity(node.symbol)
                 if len(node.args) != arity:
@@ -111,6 +120,26 @@ class Term:
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
+
+    def __copy__(self) -> Term:
+        return self
+
+    def __deepcopy__(self, memo: dict[int, object]) -> Term:
+        return self
+
+    def __reduce__(self) -> tuple[object, tuple[object, ...]]:
+        # The distinct nodes in _order, each a Var's index or (symbol, the
+        # table positions of its arguments); the root comes last.
+        place: dict[int, int] = {}
+        table: list[object] = []
+        for node in _order(self):
+            place[id(node)] = len(table)
+            if type(node) is Var:
+                table.append(node.index)
+            else:
+                places = tuple([place[id(a)] for a in node.args])  # type: ignore[attr-defined]
+                table.append((node.symbol, places))  # type: ignore[attr-defined]
+        return _from_table, (tuple(table),)
 
 
 class Var(Term):
@@ -191,6 +220,26 @@ def _app(symbol: str, args: tuple[Term, ...]) -> App:
     return node
 
 
+def _from_table(table: tuple[object, ...]) -> Term:
+    """Rebuild a pickled term from its node table through the public
+    ``Var`` and ``App`` checks; a malformed table raises ValueError."""
+    built: list[Term] = []
+    for entry in table:
+        if isinstance(entry, int):
+            built.append(Var(entry))
+            continue
+        if type(entry) is not tuple or len(entry) != 2 or type(entry[1]) is not tuple:
+            raise ValueError(f"term table entry {len(built)} is not an index or (symbol, places)")
+        symbol, places = entry
+        for k in places:
+            if type(k) is not int or not 0 <= k < len(built):
+                raise ValueError(f"term table entry {len(built)} names a place that is not earlier")
+        built.append(App(symbol, [built[k] for k in places]))
+    if not built:
+        raise ValueError("term table is empty")
+    return built[-1]
+
+
 def _structurally_equal(a: Term, b: Term) -> bool:
     # Pairwise walk with a cached-hash fast path; no recursion.  Visited
     # pairs are memoized so equality of terms with heavy subterm sharing
@@ -252,26 +301,43 @@ def _render(t: Term, limit: int | None) -> str:
     return "".join(parts)
 
 
+def _order(t: Term) -> list[Term]:
+    """Each distinct subterm object of ``t`` once, children before parents.
+
+    The one traversal kernel under every fold.  Children are pushed in
+    argument order and popped last-first; a node counts as seen when it is
+    first popped.  A pushed one-element tuple ``(node,)`` marks where an
+    application is emitted, after its children; a ``Var`` is emitted as it
+    is popped.  Shared subterms are visited once, so the walk is linear in
+    the number of distinct nodes even when the unfolded tree is
+    exponentially larger.
+    """
+    out: list[Term] = []
+    seen: set[int] = set()
+    stack: list[object] = [t]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            out.append(node[0])
+        elif id(node) not in seen:
+            seen.add(id(node))
+            if type(node) is Var:
+                out.append(node)
+            else:
+                stack.append((node,))
+                stack.extend(node.args)  # type: ignore[attr-defined]
+    return out
+
+
 def postorder(t: Term) -> Iterator[Term]:
     """Yield each distinct subterm object once, children before parents.
 
     Shared subterms are visited a single time, so the walk is linear in the
     number of distinct nodes even when the unfolded tree is exponentially
-    larger.
+    larger.  The node list is built before the first item is yielded, so it
+    takes O(distinct nodes) memory up front.
     """
-    seen: set[int] = set()
-    stack: list[tuple[Term, bool]] = [(t, False)]
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            yield node
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        if type(node) is App:
-            stack.extend((a, False) for a in node.args if id(a) not in seen)
+    return iter(_order(t))
 
 
 def _variable_depths(t: Term) -> dict[int, int]:
@@ -279,13 +345,12 @@ def _variable_depths(t: Term) -> dict[int, int]:
 
     ``depth_wrt(t, l)`` is the longest root-to-leaf path that ends at an
     ``x_l`` leaf.  Visiting distinct nodes parents-first (reversed
-    postorder) and handing each child its longest distance from the root
+    ``_order``) and handing each child its longest distance from the root
     finds all of them at once, in time linear in the distinct nodes.
     """
-    order = list(postorder(t))
     dist = {id(t): 0}
     out: dict[int, int] = {}
-    for node in reversed(order):
+    for node in reversed(_order(t)):
         d = dist[id(node)]
         if type(node) is Var:
             if out.get(node.index, -1) < d:
@@ -361,8 +426,14 @@ def yield_word(t: Term) -> list[int]:
 
 def _length_map(t: Term) -> dict[int, int]:
     memo: dict[int, int] = {}
-    for node in postorder(t):
-        memo[id(node)] = 1 if type(node) is Var else sum(memo[id(a)] for a in node.args)
+    for node in _order(t):
+        if type(node) is Var:
+            memo[id(node)] = 1
+        else:
+            total = 0
+            for a in node.args:  # type: ignore[attr-defined]
+                total += memo[id(a)]
+            memo[id(node)] = total
     return memo
 
 
@@ -384,8 +455,14 @@ class DepthReport:
         object.__setattr__(self, "variables", frozenset(self.variables))
 
 
+def _check_arity(n: object) -> None:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"arity n must be an integer, got {n!r}")
+
+
 def depth_report(t: Term, n: int) -> DepthReport:
     """Depth and per-variable depths of ``t`` viewed as an n-ary term."""
+    _check_arity(n)
     bound = arity_bound(t)
     if n < bound:
         raise ValueError(f"term is not {n}-ary: it uses x{bound}")

@@ -511,7 +511,7 @@ def check_theorem(
     """
     if kind not in _LAWS:
         raise ValueError(f"unknown check {kind!r}; pick one of: {', '.join(KINDS)}")
-    if not isinstance(trials, int) or trials < 1:
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValueError("trials must be an integer >= 1")
     law = _LAWS[kind]
     if not signature_supports(kind, sig):

@@ -3,10 +3,31 @@
 Each function is transcribed straight from the inductive definition it
 mirrors and stays deliberately independent of the package's iterative
 code: different traversal style, no sharing-awareness, no memoization.
-Only safe for small terms.
+Only safe for small terms.  ``postorder_reference`` is the exception: it
+keeps the package's first traversal generator as it was, to pin the node
+order that every fold relies on.
 """
 
 from termdepth import App, Hypersubstitution, Term, Var
+
+
+def postorder_reference(t: Term):
+    """The traversal contract, kept as the generator that first defined
+    it: each distinct subterm object once, children pushed in argument
+    order and popped last-first, a node seen when first popped."""
+    seen: set[int] = set()
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            yield node
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        if type(node) is App:
+            stack.extend((a, False) for a in node.args if id(a) not in seen)
 
 
 def depth_rec(t: Term) -> int:

@@ -1,5 +1,7 @@
 """Law-level property tests over hypothesis-generated terms."""
 
+import pickle
+
 import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
@@ -17,6 +19,7 @@ from termdepth import (
     depth_wrt,
     length,
     parse_term,
+    postorder,
     predict_depth_general,
     render_term,
     superpose,
@@ -49,6 +52,25 @@ images = {
         max_leaves=8,
     ),
 }
+
+
+@st.composite
+def shared_dags(draw):
+    """A node of a random DAG over SIG: a few Var objects (equal indices
+    may be distinct objects), then applications whose arguments are any
+    earlier nodes, repeats allowed.  Any node may be the root, a bare Var
+    included."""
+    indices = st.integers(min_value=1, max_value=3)
+    nodes = [Var(draw(indices)) for _ in range(draw(st.integers(min_value=1, max_value=4)))]
+    for _ in range(draw(st.integers(0, 12))):
+        symbol = draw(st.sampled_from(sorted(SIG.symbols)))
+        places = st.integers(min_value=0, max_value=len(nodes) - 1)
+        arity = SIG.symbols[symbol]
+        args = draw(st.lists(places, min_size=arity, max_size=arity))
+        nodes.append(App(symbol, [nodes[k] for k in args]))
+    return nodes[draw(st.integers(min_value=0, max_value=len(nodes) - 1))]
+
+
 hyps = st.builds(
     lambda i1, i2: Hypersubstitution(SIG, {"f1": i1, "f2": i2}), images["f1"], images["f2"]
 )
@@ -220,3 +242,16 @@ def test_apply_hyp_matches_oracle_and_plugs_in_one_object_per_variable(h, t):
         for j, objects in plugged.items():
             assert all(o is objects[0] for o in objects)
             assert objects[0] == oracles.apply_hyp_rec(h, t.args[j - 1])
+
+
+@given(shared_dags())
+def test_postorder_keeps_the_reference_node_order(t):
+    assert [id(n) for n in postorder(t)] == [id(n) for n in oracles.postorder_reference(t)]
+
+
+@given(shared_dags())
+def test_pickle_keeps_the_term_and_its_sharing(t):
+    loaded = pickle.loads(pickle.dumps(t))
+    assert loaded == t and hash(loaded) == hash(t)
+    # equal node tables: the same distinct nodes, each with the same arguments
+    assert loaded.__reduce__() == t.__reduce__()

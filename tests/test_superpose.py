@@ -49,6 +49,11 @@ class TestSuperpose:
         with pytest.raises(ValueError, match="not a Term"):
             superpose(binary_terms["s1"], [binary_terms["t1"], "f(x2,x1)"], 2)
 
+    @pytest.mark.parametrize("n", [2.0, True])
+    def test_rejects_non_int_arity(self, binary_terms, n):
+        with pytest.raises(ValueError, match="arity n must be an integer"):
+            superpose(binary_terms["s1"], [binary_terms["t1"], binary_terms["t2"]], n)
+
     def test_rejects_outer_term_beyond_arity(self, sig2):
         s = parse_term("f(x1,x3)", sig2)
         with pytest.raises(ValueError, match="not 2-ary"):
@@ -158,3 +163,8 @@ class TestPredictDepthGeneral:
             predict_depth_general(binary_terms["s1"], [binary_terms["t1"]], 2)
         with pytest.raises(ValueError):
             predict_depth_general(Var(3), [binary_terms["t1"], binary_terms["t2"]], 2)
+
+    @pytest.mark.parametrize("n", [2.0, True])
+    def test_rejects_non_int_arity(self, binary_terms, n):
+        with pytest.raises(ValueError, match="arity n must be an integer"):
+            predict_depth_general(binary_terms["s1"], [binary_terms["t1"], binary_terms["t2"]], n)

@@ -1,3 +1,7 @@
+import copy
+import pickle
+import time
+
 import pytest
 
 from termdepth import (
@@ -24,6 +28,7 @@ from termdepth import (
     length,
     parse_hyp,
     parse_term,
+    postorder,
     predict_depth_general,
     render_term,
     superpose,
@@ -226,6 +231,11 @@ class TestDepthReport:
         with pytest.raises(ValueError, match="not 2-ary"):
             depth_report(t, 2)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2"])
+    def test_report_rejects_non_int_arity(self, n):
+        with pytest.raises(ValueError, match="arity n must be an integer"):
+            depth_report(Var(1), n)
+
     def test_depth_is_max_per_variable(self, mixed_terms):
         for t in mixed_terms.values():
             report = depth_report(t, 3)
@@ -367,3 +377,70 @@ def test_repr_is_the_rendering_cut_to_120_characters():
             text = render_term(t)
             assert repr(t) == (f"<term {text[:117]}...>" if len(text) > 120 else f"<term {text}>")
     assert repr(t) == "<term " + render_term(t)[:117] + "...>"
+
+
+class TestCopyAndPickle:
+    def test_copies_are_the_term_itself(self, mixed_terms):
+        t = mixed_terms["s"]
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        assert copy.deepcopy([t, Var(1)])[0] is t
+
+    def test_shared_chain_round_trips_in_milliseconds(self):
+        # 65 distinct nodes over 2**64 leaf positions: a pickle of the
+        # rendered tree would never finish
+        t = shared_chain(SHARED_LEVELS)
+        start = time.perf_counter()
+        loaded = pickle.loads(pickle.dumps(t))
+        assert time.perf_counter() - start < 0.5
+        assert loaded == t and hash(loaded) == hash(t)
+        assert loaded.args[0] is loaded.args[1]
+        assert len(list(postorder(loaded))) == len(list(postorder(t))) == SHARED_LEVELS + 1
+
+    def test_variable_round_trips(self):
+        assert pickle.loads(pickle.dumps(Var(3))) == Var(3)
+
+    @pytest.mark.parametrize(
+        "table,message",
+        [
+            ((), "empty"),
+            ((0,), "variable index"),
+            ((True,), "variable index"),
+            (("f",), "entry 0 is not"),
+            ((1, ("f", [0])), "entry 1 is not"),
+            ((1, ("f", (1,))), "entry 1 names a place"),
+            ((1, ("f", (-1,))), "entry 1 names a place"),
+            ((1, ("f", ())), "at least one argument"),
+            ((1, ("", (0,))), "nonempty string"),
+        ],
+    )
+    def test_malformed_table_raises_value_error(self, table, message):
+        rebuild, _ = Var(1).__reduce__()
+        with pytest.raises(ValueError, match=message):
+            rebuild(table)
+
+
+SIG_FG = Signature({"f": 2, "g": 1})
+X1, X2 = Var(1), Var(2)
+
+
+@pytest.mark.parametrize(
+    "t,message",
+    [
+        (App("f", [App("f", [X1]), App("g", [X1, X2])]), "'g' is 1-ary but is applied to 2 arguments"),
+        (App("f", [App("g", [X1, X2]), App("f", [X1])]), "'f' is 2-ary but is applied to 1 arguments"),
+    ],
+)
+def test_first_bad_node_in_the_order_names_the_error(t, message):
+    # Two mismatched nodes: the validating folds stop at the one that comes
+    # first in the traversal order (the right child here), all with the
+    # same text.
+    checks = [
+        SIG_FG.validate_term,
+        lambda t: apply_hyp(identity_hyp(SIG_FG), t),
+        lambda t: b_of(identity_hyp(SIG_FG), t),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError) as info:
+            check(t)
+        assert str(info.value) == message

@@ -170,6 +170,11 @@ class TestCheckTheorem:
         with pytest.raises(ValueError, match="trials"):
             check_theorem("thm3.3", 0, GenConfig(), sig2)
 
+    @pytest.mark.parametrize("trials", [True, 2.0])
+    def test_rejects_non_int_trials(self, sig2, trials):
+        with pytest.raises(ValueError, match="trials"):
+            check_theorem("thm3.3", trials, GenConfig(), sig2)
+
     def test_signature_shape_preconditions(self, sig23):
         for kind in ("thm2.3", "cor4.5", "cor4.6"):
             with pytest.raises(ValueError):
