@@ -397,9 +397,6 @@ class TestCopyAndPickle:
         assert loaded.args[0] is loaded.args[1]
         assert len(list(postorder(loaded))) == len(list(postorder(t))) == SHARED_LEVELS + 1
 
-    def test_variable_round_trips(self):
-        assert pickle.loads(pickle.dumps(Var(3))) == Var(3)
-
     @pytest.mark.parametrize(
         "table,message",
         [
