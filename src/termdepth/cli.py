@@ -21,25 +21,14 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .hypersub import Hypersubstitution, apply_hyp, is_full_hyp, is_regular_hyp
+from .hypersub import apply_hyp, is_full_hyp, is_regular_hyp
 from .occurrences import b_of
 from .superpose import is_full, predict_depth_general, superpose
 from .terms import Signature, Term, arity_bound, depth, depth_report, depth_wrt
-from .textio import ParseError, parse_hyp, parse_signature, parse_term, render_hyp, render_signature, render_term
+from .textio import ParseError, _render_input, parse_hyp, parse_signature, parse_term, render_term
 from .verify import KINDS, GenConfig, check_theorem, signature_supports
 
 __all__ = ["OutputRecord", "main"]
-
-
-def _render_input(value: object) -> str:
-    """The canonical text of a parsed input, for ``json.dumps``."""
-    if isinstance(value, Term):
-        return render_term(value)
-    if isinstance(value, Signature):
-        return render_signature(value)
-    if isinstance(value, Hypersubstitution):
-        return render_hyp(value)
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 @dataclass
@@ -137,9 +126,8 @@ def _cmd_compose(args) -> OutputRecord:
     sig = _load_signature(args)
     outer = parse_term(args.outer, sig)
     ts = [parse_term(text, sig) for text in args.args]
-    n = args.n if args.n is not None else arity_bound(outer)
     inputs = {"signature": sig, "outer": outer, "args": ts}
-    predicted = predict_depth_general(outer, ts, n)
+    predicted = predict_depth_general(outer, ts, len(ts))
     if args.predict_only:
         return OutputRecord(
             "compose",
@@ -147,7 +135,7 @@ def _cmd_compose(args) -> OutputRecord:
             {"predicted": predicted},
             text_lines=[f"predicted: {predicted}"],
         )
-    return _result_record("compose", inputs, superpose(outer, ts, n), predicted)
+    return _result_record("compose", inputs, superpose(outer, ts, len(ts)), predicted)
 
 
 def _cmd_apply(args) -> OutputRecord:
@@ -192,8 +180,6 @@ def _cmd_verify(args) -> OutputRecord:
         projection_rate=args.projection_rate,
         deletion_bias=args.deletion_bias,
     )
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
     if args.theorem == "all":
         kinds = [k for k in KINDS if signature_supports(k, sig)]
         skipped = [k for k in KINDS if not signature_supports(k, sig)]
@@ -250,8 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compose", help="compose terms and predict the result depth")
     p.add_argument("signature")
     p.add_argument("--outer", required=True, help="outer term text")
-    p.add_argument("--args", nargs="+", required=True, help="argument term texts")
-    p.add_argument("--n", type=int, help="arity of the composition (default: outer's bound)")
+    p.add_argument("--args", nargs="+", required=True, help="argument terms t1..tn; n is their count")
     p.add_argument("--predict-only", action="store_true", help="skip building the composite")
     add_json(p)
     p.set_defaults(handler=_cmd_compose)

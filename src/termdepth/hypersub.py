@@ -76,6 +76,10 @@ class Hypersubstitution:
                 raise ValueError(f"image of {name!r}: {exc}") from None
         object.__setattr__(self, "assignment", MappingProxyType(table))
 
+    def __reduce__(self) -> tuple[object, tuple[object, ...]]:
+        # through the public checks; the compiled images are not carried
+        return Hypersubstitution, (self.signature, dict(self.assignment))
+
     def image(self, name: str) -> Term:
         try:
             return self.assignment[name]

@@ -9,7 +9,7 @@ from .terms import (
     Term,
     Var,
     _app,
-    _check_arity,
+    _check_int,
     _order,
     _variable_depths,
     arity_bound,
@@ -21,7 +21,7 @@ __all__ = ["is_full", "predict_depth_full", "predict_depth_general", "superpose"
 
 def _argument_terms(s: Term, ts: Sequence[Term], n: int) -> tuple[Term, ...]:
     """``ts`` as a tuple, once it is known to hold n Terms and ``s`` to be n-ary."""
-    _check_arity(n)
+    _check_int(n, "arity n", None)
     ts = tuple(ts)
     if len(ts) != n:
         raise ValueError(f"expected {n} argument terms, got {len(ts)}")

@@ -22,6 +22,7 @@ Being immutable, a term is its own copy: ``copy.copy`` and
 distinct nodes in ``_order``, so the pickle is linear in the distinct
 nodes; unpickling rebuilds the table through the ``Var`` and ``App``
 checks, keeps the sharing, and computes the hashes in the loading process.
+``Signature`` and ``DepthReport`` pickle and copy through their constructors.
 """
 
 from __future__ import annotations
@@ -51,6 +52,14 @@ _IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _VARIABLE_NAME = re.compile(r"x[0-9]+")
 
 
+def _check_int(value: object, what: str, low: int | None) -> None:
+    """Raise ValueError unless ``value`` is an int, not a bool, and (when
+    ``low`` is given) at least ``low``; the message starts with ``what``."""
+    if not isinstance(value, int) or isinstance(value, bool) or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Signature:
     """Ordered map from operation-symbol names to arities (all >= 1).
@@ -70,9 +79,11 @@ class Signature:
                 raise ValueError(f"invalid operation symbol name {name!r}")
             if _VARIABLE_NAME.fullmatch(name):
                 raise ValueError(f"symbol name {name!r} is reserved for variables")
-            if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
-                raise ValueError(f"arity of {name!r} must be an integer >= 1, got {arity!r}")
+            _check_int(arity, f"arity of {name!r}", 1)
         object.__setattr__(self, "symbols", MappingProxyType(table))
+
+    def __reduce__(self) -> tuple[object, tuple[object, ...]]:
+        return Signature, (dict(self.symbols),)
 
     def __repr__(self) -> str:
         return f"Signature({dict(self.symbols)!r})"
@@ -148,6 +159,7 @@ class Var(Term):
     __slots__ = ("index", "_hash", "_depth", "_bound")
 
     def __init__(self, index: int):
+        # _check_int's rule written out: a call per leaf built costs too much
         if not isinstance(index, int) or isinstance(index, bool) or index < 1:
             raise ValueError(f"variable index must be an integer >= 1, got {index!r}")
         object.__setattr__(self, "index", index)
@@ -402,8 +414,7 @@ def depth_wrt(t: Term, l: int) -> int:
     0 when ``t`` is a variable or does not contain ``x_l``; otherwise
     1 + the maximum over the children that contain ``x_l``.
     """
-    if not isinstance(l, int) or isinstance(l, bool) or l < 1:
-        raise ValueError(f"variable index must be an integer >= 1, got {l!r}")
+    _check_int(l, "variable index", 1)
     return _variable_depths(t).get(l, 0)
 
 
@@ -454,15 +465,13 @@ class DepthReport:
         object.__setattr__(self, "per_variable", MappingProxyType(dict(self.per_variable)))
         object.__setattr__(self, "variables", frozenset(self.variables))
 
-
-def _check_arity(n: object) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"arity n must be an integer, got {n!r}")
+    def __reduce__(self) -> tuple[object, tuple[object, ...]]:
+        return DepthReport, (self.depth, dict(self.per_variable), self.variables)
 
 
 def depth_report(t: Term, n: int) -> DepthReport:
     """Depth and per-variable depths of ``t`` viewed as an n-ary term."""
-    _check_arity(n)
+    _check_int(n, "arity n", None)
     bound = arity_bound(t)
     if n < bound:
         raise ValueError(f"term is not {n}-ary: it uses x{bound}")

@@ -17,8 +17,10 @@ and the token list is folded on an explicit frame stack.  Each variable
 index is read into one shared ``Var`` per call.
 
 All rejections raise :class:`ParseError` carrying a byte-offset
-:class:`SourceSpan` into the original input.  Positions are worked out only
-when an error is raised, by scanning the text again.
+:class:`SourceSpan` into the original input.  Every one is placed through
+one helper, ``_error``, from a character range of the input; token
+positions are worked out only when an error is raised, by scanning the
+text again.
 """
 
 from __future__ import annotations
@@ -67,22 +69,14 @@ class ParseError(ValueError):
         self.span = span
 
 
-def _byte_span(text: str, start: int, end: int) -> SourceSpan:
-    # Positions are tracked in characters while parsing; spans report bytes.
-    return SourceSpan(len(text[:start].encode()), len(text[:end].encode()))
+def _error(message: str, text: str, start: int, end: int) -> ParseError:
+    """A ParseError spanning the characters ``text[start:end]``.
 
-
-def _too_many_digits(what: str, text: str, start: int, end: int) -> ParseError:
-    # int() refuses more than sys.get_int_max_str_digits() digits
-    return ParseError(f"{what} has too many digits ({end - start})", _byte_span(text, start, end))
-
-
-def _read_int(text: str, start: int, end: int, what: str) -> int:
-    """The ASCII digits ``text[start:end]`` as an integer."""
-    try:
-        return int(text[start:end])
-    except ValueError:
-        raise _too_many_digits(what, text, start, end) from None
+    Positions are tracked in characters while parsing; spans report bytes.
+    Slices clamp, so ``start, start + 1`` at the end of the text is the
+    empty range there.
+    """
+    return ParseError(message, SourceSpan(len(text[:start].encode()), len(text[:end].encode())))
 
 
 def _token_span(text: str, k: int) -> tuple[int, int]:
@@ -94,23 +88,6 @@ def _token_span(text: str, k: int) -> tuple[int, int]:
     return m.span() if m else (len(text), len(text))
 
 
-def _at_token(message: str, text: str, k: int) -> ParseError:
-    """A ParseError spanning the first character of the ``k``-th token."""
-    start, end = _token_span(text, k)
-    return ParseError(message, _byte_span(text, start, min(start + 1, end)))
-
-
-def _on_token(message: str, text: str, k: int) -> ParseError:
-    """A ParseError spanning the whole ``k``-th token."""
-    return ParseError(message, _byte_span(text, *_token_span(text, k)))
-
-
-def _between_tokens(message: str, text: str, first: int, last: int) -> ParseError:
-    """A ParseError spanning the ``first`` through the ``last`` token."""
-    start, end = _token_span(text, first)[0], _token_span(text, last)[1]
-    return ParseError(message, _byte_span(text, start, end))
-
-
 def _variable(text: str, k: int, token: str) -> Var:
     """The variable spelt by ``token``, the ``k``-th token of ``text``.
 
@@ -119,15 +96,18 @@ def _variable(text: str, k: int, token: str) -> Var:
     """
     if _VARIABLE_NAME.fullmatch(token):
         if token[1] == "0":
-            raise _on_token(f"malformed variable {token!r}: index must not start with 0", text, k)
+            message = f"malformed variable {token!r}: index must not start with 0"
+            raise _error(message, text, *_token_span(text, k))
         try:
             return Var(int(token[1:]))
-        except ValueError:
+        except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
             start, end = _token_span(text, k)
-            raise _too_many_digits("variable index", text, start + 1, end) from None
+            message = f"variable index has too many digits ({len(token) - 1})"
+            raise _error(message, text, start + 1, end) from None
     if _IDENTIFIER.match(token):
-        raise _on_token(f"unknown operation symbol {token!r}", text, k)
-    raise _at_token("expected a variable or an operation symbol", text, k)
+        raise _error(f"unknown operation symbol {token!r}", text, *_token_span(text, k))
+    start = _token_span(text, k)[0]
+    raise _error("expected a variable or an operation symbol", text, start, start + 1)
 
 
 def parse_term(text: str, sig: Signature) -> Term:
@@ -148,7 +128,8 @@ def parse_term(text: str, sig: Signature) -> Term:
         k += 1
         if token in symbols:  # never a variable: Signature refuses their spelling
             if tokens[k] != "(":
-                raise _at_token(f"expected '(' after symbol {token!r}", text, k)
+                start = _token_span(text, k)[0]
+                raise _error(f"expected '(' after symbol {token!r}", text, start, start + 1)
             frames.append((token, k - 1, symbols[token], []))
             k += 1
             continue
@@ -159,8 +140,7 @@ def parse_term(text: str, sig: Signature) -> Term:
         while True:
             if not frames:
                 if tokens[k]:
-                    start = _token_span(text, k)[0]
-                    raise ParseError("trailing input after term", _byte_span(text, start, len(text)))
+                    raise _error("trailing input after term", text, _token_span(text, k)[0], len(text))
                 return term
             symbol, sym_k, arity, args = frames[-1]
             args.append(term)
@@ -168,19 +148,18 @@ def parse_term(text: str, sig: Signature) -> Term:
             k += 1
             if token == ",":
                 if len(args) >= arity:
-                    raise _between_tokens(
-                        f"too many arguments for {symbol!r} (arity {arity})", text, sym_k, k - 1
-                    )
+                    message = f"too many arguments for {symbol!r} (arity {arity})"
+                    raise _error(message, text, _token_span(text, sym_k)[0], _token_span(text, k - 1)[1])
                 break
             if token == ")":
                 if len(args) != arity:
-                    raise _between_tokens(
-                        f"{symbol!r} is {arity}-ary but got {len(args)} argument(s)", text, sym_k, k - 1
-                    )
+                    message = f"{symbol!r} is {arity}-ary but got {len(args)} argument(s)"
+                    raise _error(message, text, _token_span(text, sym_k)[0], _token_span(text, k - 1)[1])
                 frames.pop()
                 term = _app(symbol, tuple(args))
                 continue
-            raise _at_token("expected ',' or ')'", text, k - 1)
+            start = _token_span(text, k - 1)[0]
+            raise _error("expected ',' or ')'", text, start, start + 1)
 
 
 def _logical_lines(text: str):
@@ -199,40 +178,35 @@ def _logical_lines(text: str):
         offset += len(raw) + 1
 
 
-def _line_error(message: str, text: str, line: str, start: int) -> ParseError:
-    """A ParseError spanning the logical line ``line`` found at ``start``."""
-    return ParseError(message, _byte_span(text, start, start + len(line)))
-
-
 def parse_signature(text: str) -> Signature:
     """Parse ``name/arity`` lines into a Signature, preserving order."""
     table: dict[str, int] = {}
     for line, start in _logical_lines(text):
+        end = start + len(line)
         name, sep, arity_text = line.partition("/")
         if not sep:
-            raise _line_error("expected 'name/arity'", text, line, start)
+            raise _error("expected 'name/arity'", text, start, end)
         name = name.rstrip(_WHITESPACE)
         if not _IDENTIFIER.fullmatch(name):
-            raise _line_error(f"invalid operation symbol name {name!r}", text, line, start)
+            raise _error(f"invalid operation symbol name {name!r}", text, start, end)
         if _VARIABLE_NAME.fullmatch(name):
-            raise _line_error(f"symbol name {name!r} is reserved for variables", text, line, start)
+            raise _error(f"symbol name {name!r} is reserved for variables", text, start, end)
         if name in table:
-            raise _line_error(f"duplicate operation symbol {name!r}", text, line, start)
-        arity_start = start + len(line) - len(arity_text.lstrip(_WHITESPACE))
+            raise _error(f"duplicate operation symbol {name!r}", text, start, end)
         arity_text = arity_text.strip(_WHITESPACE)
-        arity_end = arity_start + len(arity_text)
+        arity_start = end - len(arity_text)
         if not (arity_text.isascii() and arity_text.isdigit()):
-            raise ParseError(
-                f"arity of {name!r} must be a positive integer",
-                _byte_span(text, arity_start, arity_end),
-            )
-        arity = _read_int(text, arity_start, arity_end, f"arity of {name!r}")
+            raise _error(f"arity of {name!r} must be a positive integer", text, arity_start, end)
+        try:
+            arity = int(arity_text)
+        except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
+            message = f"arity of {name!r} has too many digits ({len(arity_text)})"
+            raise _error(message, text, arity_start, end) from None
         if arity < 1:
-            raise ParseError(f"arity of {name!r} must be >= 1", _byte_span(text, arity_start, arity_end))
+            raise _error(f"arity of {name!r} must be >= 1", text, arity_start, end)
         table[name] = arity
     if not table:
-        end = len(text.encode())
-        raise ParseError("signature declares no operation symbols", SourceSpan(end, end))
+        raise _error("signature declares no operation symbols", text, len(text), len(text))
     return Signature(table)
 
 
@@ -240,34 +214,32 @@ def parse_hyp(text: str, sig: Signature) -> Hypersubstitution:
     """Parse ``name -> term`` lines into a total hypersubstitution over ``sig``."""
     images: dict[str, Term] = {}
     for line, start in _logical_lines(text):
+        end = start + len(line)
         name_part, sep, term_text = line.partition("->")
         if not sep:
-            raise _line_error("expected 'symbol -> term'", text, line, start)
+            raise _error("expected 'symbol -> term'", text, start, end)
         name = name_part.rstrip(_WHITESPACE)
         if name not in sig.symbols:
-            raise _line_error(f"unknown operation symbol {name!r}", text, line, start)
+            raise _error(f"unknown operation symbol {name!r}", text, start, end)
         if name in images:
-            raise _line_error(f"duplicate image for {name!r}", text, line, start)
+            raise _error(f"duplicate image for {name!r}", text, start, end)
         term_start = start + len(name_part) + 2
         try:
             image = parse_term(term_text, sig)
         except ParseError as exc:
-            base = len(text[:term_start].encode())
-            raise ParseError(
-                exc.message, SourceSpan(base + exc.span.start, base + exc.span.end)
-            ) from None
+            # the term's byte span, moved to characters of ``text``
+            head = term_text.encode()
+            at = [term_start + len(head[:b].decode()) for b in (exc.span.start, exc.span.end)]
+            raise _error(exc.message, text, *at) from None
         bound = arity_bound(image)
         arity = sig.symbols[name]
         if bound > arity:
-            raise ParseError(
-                f"image of {name!r} uses x{bound} but {name!r} is {arity}-ary",
-                _byte_span(text, term_start, start + len(line)),
-            )
+            message = f"image of {name!r} uses x{bound} but {name!r} is {arity}-ary"
+            raise _error(message, text, term_start, end)
         images[name] = image
     missing = [name for name in sig.symbols if name not in images]
     if missing:
-        end = len(text.encode())
-        raise ParseError(f"missing image(s) for: {', '.join(missing)}", SourceSpan(end, end))
+        raise _error(f"missing image(s) for: {', '.join(missing)}", text, len(text), len(text))
     return _hyp(sig, images)
 
 
@@ -279,3 +251,14 @@ def render_hyp(h: Hypersubstitution) -> str:
     return "\n".join(
         f"{name} -> {render_term(h.assignment[name])}" for name in h.signature.symbols
     )
+
+
+def _render_input(value: object) -> str:
+    """The canonical text of a parsed input; a ``json.dumps`` default."""
+    if isinstance(value, Term):
+        return render_term(value)
+    if isinstance(value, Signature):
+        return render_signature(value)
+    if isinstance(value, Hypersubstitution):
+        return render_hyp(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")

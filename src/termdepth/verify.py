@@ -29,8 +29,8 @@ from .hypersub import (
 )
 from .occurrences import b_of
 from .superpose import is_full, predict_depth_full, predict_depth_general, superpose
-from .terms import App, Signature, Term, Var, _app, depth, variables
-from .textio import render_hyp, render_signature, render_term
+from .terms import App, Signature, Term, Var, _app, _check_int, depth, variables
+from .textio import _render_input
 
 __all__ = [
     "KINDS",
@@ -68,9 +68,7 @@ class GenConfig:
     def __post_init__(self) -> None:
         lowest = {"seed": 0, "max_depth": 0, "max_arity": 1, "num_symbols": 1, "var_bound": 1}
         for name, low in lowest.items():
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            _check_int(getattr(self, name), name, low)
         if self.seed >= 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         for name in ("projection_rate", "deletion_bias"):
@@ -97,6 +95,9 @@ class Discrepancy:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inputs", MappingProxyType(dict(self.inputs)))
+
+    def __reduce__(self) -> tuple[object, tuple[object, ...]]:
+        return Discrepancy, (self.kind, dict(self.inputs), self.predicted, self.actual, self.seed_state)
 
     def as_dict(self) -> dict:
         return {
@@ -494,12 +495,6 @@ def signature_supports(kind: str, sig: Signature) -> bool:
     return shape is None or shape[0](sig)
 
 
-def _render(value: object) -> str:
-    if isinstance(value, Hypersubstitution):
-        return render_hyp(value)
-    return render_term(value)  # type: ignore[arg-type]
-
-
 def check_theorem(
     kind: str, trials: int, cfg: GenConfig, sig: Signature
 ) -> list[Discrepancy]:
@@ -511,8 +506,7 @@ def check_theorem(
     """
     if kind not in _LAWS:
         raise ValueError(f"unknown check {kind!r}; pick one of: {', '.join(KINDS)}")
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ValueError("trials must be an integer >= 1")
+    _check_int(trials, "trials", 1)
     law = _LAWS[kind]
     if not signature_supports(kind, sig):
         raise ValueError(f"{kind} needs {law.shape[1]}")  # type: ignore[index]
@@ -529,7 +523,6 @@ def check_theorem(
             continue
         slots = _greedy_shrink(slots, lambda sl: law.fails(sig, sl))
         predicted, actual = law.measure(sig, slots)
-        inputs = {"signature": render_signature(sig)}
-        inputs.update((key, _render(value)) for key, value in slots.items())
+        inputs = {key: _render_input(value) for key, value in {"signature": sig, **slots}.items()}
         found.append(Discrepancy(kind, inputs, predicted, actual, f"{cfg.seed}:{trial}"))
     return found

@@ -147,6 +147,12 @@ class TestComposeCommand:
         code, _, err = run(capsys, "compose", sig_file, "--outer", "f(x1,x2)", "--args", "x1")
         assert code == 2
 
+    def test_arity_is_the_number_of_arguments(self, capsys, sig_file):
+        # the outer term uses only x1, but two arguments make it binary
+        code, out, _ = run(capsys, "compose", sig_file, "--outer", "f(x1,x1)", "--args", "f(x1,x2)", "x2")
+        assert code == 0
+        assert out.splitlines() == ["term: f(f(x1,x2),f(x1,x2))", "depth: 2", "predicted: 2", "agree: true"]
+
 
 class TestApplyCommand:
     def test_identity(self, capsys, sig_file, tmp_path):
@@ -312,6 +318,11 @@ class TestVerifyCommand:
         assert record["command"] == "verify"
         assert record["result"]["checks"]["lemma2.2"] == {"trials": 50, "discrepancies": 0}
 
+    def test_nonpositive_trials_exits_2(self, capsys, sig_file):
+        code, out, err = run(capsys, "verify", sig_file, "--theorem", "thm3.3", "--trials", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: trials must be an integer >= 1, got 0\n"
+
     def test_bad_theorem_name_exits_2(self, capsys, sig_file):
         with pytest.raises(SystemExit) as info:
             main(["verify", sig_file, "--theorem", "thm7.7"])
@@ -403,7 +414,8 @@ def test_text_mode_does_not_render_inputs(capsys, monkeypatch, tmp_path):
         raise AssertionError("rendered an input in text mode")
 
     for name in ("render_term", "render_signature", "render_hyp"):
-        monkeypatch.setattr(f"termdepth.cli.{name}", refuse)
+        monkeypatch.setattr(f"termdepth.textio.{name}", refuse)
+    monkeypatch.setattr("termdepth.cli.render_term", refuse)
     sig = tmp_path / "binary.sig"
     sig.write_text("f/2\n")
     hyp = tmp_path / "swap.hyp"

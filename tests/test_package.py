@@ -1,9 +1,14 @@
-"""The package surface: the re-exported names and the README's examples."""
+"""The package surface: the re-exported names, the README's examples, and
+the records' pickling and copying."""
 
+import copy
 import importlib
+import pickle
 import re
 import shlex
 from pathlib import Path
+
+import pytest
 
 import termdepth
 from termdepth.cli import main
@@ -51,3 +56,26 @@ def test_readme_cli_examples_print_what_they_show(capsys, tmp_path):
         assert capsys.readouterr().out.splitlines() == printed
         ran.append(argv[0])
     assert ran == ["depth", "compose"]
+
+
+def _applied_hyp():
+    sig = termdepth.Signature({"f": 2, "g": 1})
+    h = termdepth.parse_hyp("f -> f(x2,g(x1))\ng -> x1", sig)
+    termdepth.apply_hyp(h, termdepth.parse_term("f(g(x1),x2)", sig))  # compiles its images
+    return h
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: termdepth.Signature({"f": 2, "g": 1}),
+        _applied_hyp,
+        lambda: termdepth.depth_report(termdepth.Var(2), 3),
+        lambda: termdepth.Discrepancy("thm5.1", {"signature": "f/2", "t": "x1"}, 1, 0, "5:3"),
+    ],
+    ids=["Signature", "Hypersubstitution", "DepthReport", "Discrepancy"],
+)
+def test_records_round_trip_through_pickle_and_deepcopy(make):
+    record = make()
+    for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(twin) is type(record) and twin == record and twin is not record
