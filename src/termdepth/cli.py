@@ -127,7 +127,7 @@ def _cmd_compose(args) -> OutputRecord:
     outer = parse_term(args.outer, sig)
     ts = [parse_term(text, sig) for text in args.args]
     inputs = {"signature": sig, "outer": outer, "args": ts}
-    predicted = predict_depth_general(outer, ts, len(ts))
+    predicted = predict_depth_general(outer, ts)
     if args.predict_only:
         return OutputRecord(
             "compose",
@@ -135,7 +135,7 @@ def _cmd_compose(args) -> OutputRecord:
             {"predicted": predicted},
             text_lines=[f"predicted: {predicted}"],
         )
-    return _result_record("compose", inputs, superpose(outer, ts, len(ts)), predicted)
+    return _result_record("compose", inputs, superpose(outer, ts), predicted)
 
 
 def _cmd_apply(args) -> OutputRecord:

@@ -80,6 +80,9 @@ class Hypersubstitution:
         # through the public checks; the compiled images are not carried
         return Hypersubstitution, (self.signature, dict(self.assignment))
 
+    def __hash__(self) -> int:  # over the fields only, not the cached _images
+        return hash((self.signature, frozenset(self.assignment.items())))
+
     def image(self, name: str) -> Term:
         try:
             return self.assignment[name]

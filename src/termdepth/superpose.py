@@ -9,7 +9,6 @@ from .terms import (
     Term,
     Var,
     _app,
-    _check_int,
     _order,
     _variable_depths,
     arity_bound,
@@ -19,32 +18,28 @@ from .terms import (
 __all__ = ["is_full", "predict_depth_full", "predict_depth_general", "superpose"]
 
 
-def _argument_terms(s: Term, ts: Sequence[Term], n: int) -> tuple[Term, ...]:
-    """``ts`` as a tuple, once it is known to hold n Terms and ``s`` to be n-ary."""
-    _check_int(n, "arity n", None)
+def _argument_terms(s: Term, ts: Sequence[Term]) -> tuple[Term, ...]:
+    """``ts`` as a tuple of Terms, once ``s`` is known to be ``len(ts)``-ary."""
     ts = tuple(ts)
-    if len(ts) != n:
-        raise ValueError(f"expected {n} argument terms, got {len(ts)}")
     for t in ts:
         if not isinstance(t, Term):
             raise ValueError(f"argument term {t!r} is not a Term")
     bound = arity_bound(s)
-    if bound > n:
-        raise ValueError(f"outer term is not {n}-ary: it uses x{bound}")
+    if bound > len(ts):
+        raise ValueError(f"outer term is not {len(ts)}-ary: it uses x{bound}")
     return ts
 
 
-def superpose(s: Term, ts: Sequence[Term], n: int) -> Term:
+def superpose(s: Term, ts: Sequence[Term]) -> Term:
     """Substitute ``ts[i-1]`` for every occurrence of ``x_i`` in ``s``.
 
-    ``s`` must be n-ary (no variable index above ``n``) and ``ts`` must
-    supply exactly ``n`` replacement terms.  The result shares structure
+    ``s`` must be n-ary for n = ``len(ts)``.  The result shares structure
     with the inputs: each ``ts[j]`` object is plugged in wherever ``x_j``
     occurs, so the composite can be measured in time linear in the number
     of distinct nodes even when its unfolded tree is huge.
     """
-    ts = _argument_terms(s, ts, n)
-    return _run(_compile(s, n), ts)
+    ts = _argument_terms(s, ts)
+    return _run(_compile(s, len(ts)), ts)
 
 
 # A straight-line program for an n-ary term: one instruction (symbol,
@@ -101,7 +96,7 @@ def is_full(t: Term) -> bool:
 
 
 def predict_depth_full(s: Term, ts: Sequence[Term], sig: Signature) -> int:
-    """Depth of ``superpose(s, ts, n)`` for full ``s`` over a single-arity signature.
+    """Depth of ``superpose(s, ts)`` for full ``s`` over a single-arity signature.
 
     Computed without building the composite as
     ``max(depth(t) for t in ts) + depth(s)``.  The single-arity requirement
@@ -113,15 +108,17 @@ def predict_depth_full(s: Term, ts: Sequence[Term], sig: Signature) -> int:
     sig.validate_term(s)
     if not is_full(s):
         raise ValueError("outer term must be full")
-    ts = _argument_terms(s, ts, n)
+    if len(ts) != n:
+        raise ValueError(f"expected {n} argument terms, got {len(ts)}")
+    ts = _argument_terms(s, ts)
     return max(depth(t) for t in ts) + depth(s)
 
 
-def predict_depth_general(s: Term, ts: Sequence[Term], n: int) -> int:
-    """Depth of ``superpose(s, ts, n)`` for arbitrary terms.
+def predict_depth_general(s: Term, ts: Sequence[Term]) -> int:
+    """Depth of ``superpose(s, ts)`` for arbitrary terms.
 
     Equals ``max(depth_wrt(s, j) + depth(ts[j-1]))`` over the variables
     ``x_j`` occurring in ``s``.
     """
-    ts = _argument_terms(s, ts, n)
+    ts = _argument_terms(s, ts)
     return max(d + depth(ts[j - 1]) for j, d in _variable_depths(s).items())

@@ -85,6 +85,9 @@ class Signature:
     def __reduce__(self) -> tuple[object, tuple[object, ...]]:
         return Signature, (dict(self.symbols),)
 
+    def __hash__(self) -> int:
+        return hash(frozenset(self.symbols.items()))
+
     def __repr__(self) -> str:
         return f"Signature({dict(self.symbols)!r})"
 
@@ -467,6 +470,9 @@ class DepthReport:
 
     def __reduce__(self) -> tuple[object, tuple[object, ...]]:
         return DepthReport, (self.depth, dict(self.per_variable), self.variables)
+
+    def __hash__(self) -> int:
+        return hash((self.depth, frozenset(self.per_variable.items()), self.variables))
 
 
 def depth_report(t: Term, n: int) -> DepthReport:

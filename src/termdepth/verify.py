@@ -99,6 +99,9 @@ class Discrepancy:
     def __reduce__(self) -> tuple[object, tuple[object, ...]]:
         return Discrepancy, (self.kind, dict(self.inputs), self.predicted, self.actual, self.seed_state)
 
+    def __hash__(self) -> int:
+        return hash((self.kind, frozenset(self.inputs.items()), self.predicted, self.actual, self.seed_state))
+
     def as_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -362,14 +365,15 @@ class _Law:
 
     ``generate`` draws a trial's slots from its stream; the slot order and
     the draw order are the replay contract of the law's seed tokens.
-    ``measure`` gives (predicted, actual).  ``valid``, when set, is the
-    domain every trial and shrink candidate must stay inside.  ``shape``,
-    when set, is the signature predicate the law needs and what it needs,
-    in words.
+    ``predict`` gives the closed-form value and ``actual`` the one measured
+    on the built result.  ``valid``, when set, is the domain every trial
+    and shrink candidate must stay inside.  ``shape``, when set, is the
+    signature predicate the law needs and what it needs, in words.
     """
 
     generate: Callable[[GenConfig, Signature, random.Random], Slots]
-    measure: Callable[[Signature, Slots], tuple[int, int]]
+    predict: Callable[[Signature, Slots], int]
+    actual: Callable[[Slots], int]
     valid: Callable[[Slots], bool] | None = None
     shape: tuple[Callable[[Signature], bool], str] | None = None
 
@@ -379,10 +383,9 @@ class _Law:
         try:
             if self.valid is not None and not self.valid(slots):
                 return False
-            predicted, actual = self.measure(sig, slots)
+            return self.predict(sig, slots) != self.actual(slots)
         except ValueError:
             return False
-        return predicted != actual
 
 
 def _full_term(cfg: GenConfig, sig: Signature, rng: random.Random) -> Term:
@@ -401,19 +404,8 @@ def _outer_and_args(slots: Slots) -> tuple[Term, list[Term]]:
     return slots["s"], [slots[f"t{j}"] for j in range(1, len(slots))]  # type: ignore[return-value]
 
 
-def _measure_thm23(sig: Signature, slots: Slots) -> tuple[int, int]:
-    s, ts = _outer_and_args(slots)
-    return predict_depth_full(s, ts, sig), depth(superpose(s, ts, len(ts)))
-
-
-def _measure_thm33(sig: Signature, slots: Slots) -> tuple[int, int]:
-    s, ts = _outer_and_args(slots)
-    return predict_depth_general(s, ts, len(ts)), depth(superpose(s, ts, len(ts)))
-
-
-def _measure_lemma22(sig: Signature, slots: Slots) -> tuple[int, int]:
-    s, ts = _outer_and_args(slots)
-    return 1, int(is_full(superpose(s, ts, len(ts))))
+def _composite(slots: Slots) -> Term:
+    return superpose(*_outer_and_args(slots))
 
 
 def _full_hyp_pair(cfg: GenConfig, sig: Signature, rng: random.Random) -> Slots:
@@ -436,38 +428,37 @@ _LAWS: dict[str, _Law] = {
             _full_term(cfg, sig, rng),
             (gen_term(cfg, sig, rng) for _ in range(sig.common_arity())),  # type: ignore[arg-type]
         ),
-        measure=_measure_thm23,
+        predict=lambda sig, sl: predict_depth_full(*_outer_and_args(sl), sig),
+        actual=lambda sl: depth(_composite(sl)),
         shape=_ONE_ARITY,
     ),
     "thm3.3": _Law(
         generate=lambda cfg, sig, rng: _composition(
             gen_term(cfg, sig, rng), (gen_term(cfg, sig, rng) for _ in range(cfg.var_bound))
         ),
-        measure=_measure_thm33,
+        predict=lambda sig, sl: predict_depth_general(*_outer_and_args(sl)),
+        actual=lambda sl: depth(_composite(sl)),
     ),
     "cor4.5": _Law(
         generate=lambda cfg, sig, rng: {
             "sigma": gen_full_hyp(cfg, sig, rng),
             "t": _full_term(cfg, sig, rng),
         },
-        measure=lambda sig, sl: (
-            predict_depth_full_hyp(sl["sigma"], sl["t"]),
-            depth(apply_hyp(sl["sigma"], sl["t"])),
-        ),
+        predict=lambda sig, sl: predict_depth_full_hyp(sl["sigma"], sl["t"]),
+        actual=lambda sl: depth(apply_hyp(sl["sigma"], sl["t"])),
         shape=_ONE_SYMBOL,
     ),
     "cor4.6": _Law(
         generate=_full_hyp_pair,
-        measure=lambda sig, sl: (
-            hyp_depth(sl["sigma1"]) * hyp_depth(sl["sigma2"]),
-            hyp_depth(compose_hyp(sl["sigma1"], sl["sigma2"])),
-        ),
+        predict=lambda sig, sl: hyp_depth(sl["sigma1"]) * hyp_depth(sl["sigma2"]),
+        actual=lambda sl: hyp_depth(compose_hyp(sl["sigma1"], sl["sigma2"])),
         valid=_all_full_hyps,
         shape=_ONE_SYMBOL,
     ),
     "thm5.1": _Law(
         generate=lambda cfg, sig, rng: {"sigma": gen_hyp(cfg, sig, rng), "t": gen_term(cfg, sig, rng)},
-        measure=lambda sig, sl: (b_of(sl["sigma"], sl["t"]), depth(apply_hyp(sl["sigma"], sl["t"]))),
+        predict=lambda sig, sl: b_of(sl["sigma"], sl["t"]),
+        actual=lambda sl: depth(apply_hyp(sl["sigma"], sl["t"])),
     ),
     # Full terms can use up to max-arity-many variables, so the composition
     # arity must cover that regardless of cfg.var_bound.
@@ -476,12 +467,14 @@ _LAWS: dict[str, _Law] = {
             _full_term(cfg, sig, rng),
             (_full_term(cfg, sig, rng) for _ in range(max(sig.symbols.values()))),
         ),
-        measure=_measure_lemma22,
+        predict=lambda sig, sl: 1,
+        actual=lambda sl: int(is_full(_composite(sl))),
         valid=lambda sl: all(is_full(t) for t in sl.values()),  # type: ignore[arg-type]
     ),
     "lemma4.2": _Law(
         generate=_full_hyp_pair,
-        measure=lambda sig, sl: (1, int(is_full_hyp(compose_hyp(sl["sigma1"], sl["sigma2"])))),
+        predict=lambda sig, sl: 1,
+        actual=lambda sl: int(is_full_hyp(compose_hyp(sl["sigma1"], sl["sigma2"]))),
         valid=_all_full_hyps,
     ),
 }
@@ -518,11 +511,11 @@ def check_theorem(
         # loud error, not a silently passing trial.
         if law.valid is not None and not law.valid(slots):
             raise RuntimeError(f"{kind}: generator produced an invalid trial")
-        predicted, actual = law.measure(sig, slots)
+        predicted, actual = law.predict(sig, slots), law.actual(slots)
         if predicted == actual:
             continue
         slots = _greedy_shrink(slots, lambda sl: law.fails(sig, sl))
-        predicted, actual = law.measure(sig, slots)
+        predicted, actual = law.predict(sig, slots), law.actual(slots)
         inputs = {key: _render_input(value) for key, value in {"signature": sig, **slots}.items()}
         found.append(Discrepancy(kind, inputs, predicted, actual, f"{cfg.seed}:{trial}"))
     return found

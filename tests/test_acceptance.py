@@ -73,10 +73,10 @@ def test_a1_golden_binary_composition():
         t2 = parse_term("f(x2,x1)", SIG2)
         s1 = parse_term("f(f(x2,x2),x1)", SIG2)
         s2 = parse_term("f(f(x1,x1),x2)", SIG2)
-        composed = superpose(s1, [t1, t2], 2)
+        composed = superpose(s1, [t1, t2])
         assert render_term(composed) == "f(f(f(x2,x1),f(x2,x1)),f(x1,f(x1,x2)))"
         assert depth(composed) == 3
-        assert depth(superpose(s2, [t1, t2], 2)) == 4
+        assert depth(superpose(s2, [t1, t2])) == 4
 
 
 def test_a2_golden_per_variable_depths():
@@ -88,8 +88,8 @@ def test_a2_golden_per_variable_depths():
         expected = {t1: (2, 2, 1), t2: (2, 2, 0), t3: (2, 0, 2), s: (2, 2, 1)}
         for term, values in expected.items():
             assert tuple(depth_wrt(term, l) for l in (1, 2, 3)) == values
-        assert depth(superpose(s, [t1, t2, t3], 3)) == 4
-        assert predict_depth_general(s, [t1, t2, t3], 3) == 4
+        assert depth(superpose(s, [t1, t2, t3])) == 4
+        assert predict_depth_general(s, [t1, t2, t3]) == 4
 
 
 def test_a3_composition_depth_formula_suite():
@@ -115,8 +115,8 @@ def test_a4_additive_depth_formula_suite():
         s1 = parse_term("f(f(x2,x2),x1)", SIG2)
         s2 = parse_term("f(f(x1,x1),x2)", SIG2)
         assert depth(s1) == depth(s2)
-        d1 = depth(superpose(s1, [t1, t2], 2))
-        d2 = depth(superpose(s2, [t1, t2], 2))
+        d1 = depth(superpose(s1, [t1, t2]))
+        d2 = depth(superpose(s2, [t1, t2]))
         assert (d1, d2) == (3, 4)
         naive = max(depth(t1), depth(t2)) + depth(s1)
         assert naive != d1

@@ -39,6 +39,10 @@ class TestHypersubstitutionType:
         with pytest.raises(ValueError, match="unknown"):
             Hypersubstitution(sig2, {"f": Var(1), "g": Var(1)})
 
+    def test_rejects_non_term_image(self, sig2):
+        with pytest.raises(ValueError, match="image of 'f' is not a Term"):
+            Hypersubstitution(sig2, {"f": "x1"})
+
     def test_rejects_image_beyond_arity(self, sig2):
         with pytest.raises(ValueError, match="x3"):
             Hypersubstitution(sig2, {"f": parse_term("f(x3,x1)", Signature({"f": 2}))})
@@ -61,6 +65,8 @@ class TestIdentity:
         h = identity_hyp(sig23)
         assert render_term(h.image("f1")) == "f1(x1,x2)"
         assert render_term(h.image("f2")) == "f2(x1,x2,x3)"
+        with pytest.raises(ValueError, match="unknown operation symbol 'g'"):
+            h.image("g")
 
     def test_identity_application(self, sig2, binary_terms):
         h = identity_hyp(sig2)
@@ -112,8 +118,8 @@ class TestApply:
             h = gen_hyp(cfg, sig2, rng)
             s = gen_term(cfg, sig2, rng)
             ts = [gen_term(cfg, sig2, rng) for _ in range(2)]
-            lhs = apply_hyp(h, superpose(s, ts, 2))
-            rhs = superpose(apply_hyp(h, s), [apply_hyp(h, t) for t in ts], 2)
+            lhs = apply_hyp(h, superpose(s, ts))
+            rhs = superpose(apply_hyp(h, s), [apply_hyp(h, t) for t in ts])
             assert lhs == rhs
 
 

@@ -106,22 +106,22 @@ def test_round_trip(t):
 @given(terms)
 def test_identity_superposition(t):
     n = max(3, arity_bound(t))
-    assert superpose(t, [Var(i) for i in range(1, n + 1)], n) == t
+    assert superpose(t, [Var(i) for i in range(1, n + 1)]) == t
 
 
 @settings(max_examples=60)
 @given(terms, terms, terms, terms)
 def test_composition_depth_formula(s, t1, t2, t3):
     ts = [t1, t2, t3]
-    assert predict_depth_general(s, ts, 3) == depth(superpose(s, ts, 3))
+    assert predict_depth_general(s, ts) == depth(superpose(s, ts))
 
 
 @settings(max_examples=60)
 @given(hyps, terms, terms, terms, terms)
 def test_hyp_extension_commutes_with_superposition(h, s, t1, t2, t3):
     ts = [t1, t2, t3]
-    lhs = apply_hyp(h, superpose(s, ts, 3))
-    rhs = superpose(apply_hyp(h, s), [apply_hyp(h, t) for t in ts], 3)
+    lhs = apply_hyp(h, superpose(s, ts))
+    rhs = superpose(apply_hyp(h, s), [apply_hyp(h, t) for t in ts])
     assert lhs == rhs
 
 
@@ -135,7 +135,7 @@ def test_rewritten_variable_set_shrinks(h, t):
 @given(terms, terms, terms, terms)
 def test_composition_variable_set(s, t1, t2, t3):
     ts = [t1, t2, t3]
-    composed = superpose(s, ts, 3)
+    composed = superpose(s, ts)
     expected = set()
     for j in variables(s):
         expected |= variables(ts[j - 1])
@@ -166,7 +166,7 @@ def _facts_match_oracles(t) -> bool:
 @settings(max_examples=60)
 @given(terms, terms, terms, terms)
 def test_composed_term_facts_match_oracles(s, t1, t2, t3):
-    assert _facts_match_oracles(superpose(s, [t1, t2, t3], 3))
+    assert _facts_match_oracles(superpose(s, [t1, t2, t3]))
 
 
 @settings(max_examples=60)

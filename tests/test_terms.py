@@ -280,8 +280,8 @@ class TestInternallyBuiltTerms:
     def test_composed_terms(self, mixed_terms):
         ts = [mixed_terms["t1"], mixed_terms["t2"], mixed_terms["t3"]]
         for s in mixed_terms.values():
-            assert_facts_match_oracles(superpose(s, ts, 3))
-            assert_facts_match_oracles(superpose(s, [Var(4), Var(9), Var(1)], 3))
+            assert_facts_match_oracles(superpose(s, ts))
+            assert_facts_match_oracles(superpose(s, [Var(4), Var(9), Var(1)]))
 
     def test_rewritten_terms(self, sig23, mixed_terms):
         for text in ("f1 -> f2(x2,x1,x2)\nf2 -> f1(x3,f1(x3,x1))", "f1 -> x2\nf2 -> f2(x3,x3,x1)"):
@@ -298,7 +298,7 @@ class TestInternallyBuiltTerms:
         s = parse_term("f(x1,x2)", sig2)
         t = Var(3)
         for _ in range(50_000):
-            t = superpose(s, [t, Var(2)], 2)
+            t = superpose(s, [t, Var(2)])
         assert depth(t) == 50_000
         assert arity_bound(t) == 3
         assert depth_wrt(t, 3) == 50_000
@@ -333,7 +333,7 @@ def shared_chain(levels):
         pytest.param(length, 2**SHARED_LEVELS, id="length"),
         pytest.param(is_full, False, id="is_full"),
         pytest.param(
-            lambda t: predict_depth_general(t, [t, Var(2)], 2), 2 * SHARED_LEVELS, id="predict_depth_general"
+            lambda t: predict_depth_general(t, [t, Var(2)]), 2 * SHARED_LEVELS, id="predict_depth_general"
         ),
         pytest.param(SIG2.validate_term, None, id="validate_term"),
         pytest.param(lambda t: t == shared_chain(SHARED_LEVELS), True, id="equality"),

@@ -73,6 +73,10 @@ class TestParseSignature:
             with pytest.raises(ParseError) as info:
                 parse_signature(text)
             assert text.encode()[info.value.span.start : info.value.span.end] == text[-1].encode()
+        # an arity longer than int() reads: the span is its digits
+        with pytest.raises(ParseError, match=r"arity of 'f' has too many digits \(5000\)") as info:
+            parse_signature("f/" + "7" * 5000)
+        assert (info.value.span.start, info.value.span.end) == (2, 5002)
 
 
 class TestParseTerm:
@@ -244,7 +248,7 @@ class TestRendering:
     def test_worked_composition_output(self, binary_terms):
         from termdepth import superpose
 
-        composed = superpose(binary_terms["s1"], [binary_terms["t1"], binary_terms["t2"]], 2)
+        composed = superpose(binary_terms["s1"], [binary_terms["t1"], binary_terms["t2"]])
         assert render_term(composed) == "f(f(f(x2,x1),f(x2,x1)),f(x1,f(x1,x2)))"
 
     def test_signature_round_trip(self, sig23):

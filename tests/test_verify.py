@@ -22,9 +22,12 @@ from termdepth import (
     parse_hyp,
     parse_signature,
     parse_term,
+    render_term,
+    superpose,
     trial_stream,
     variables,
 )
+from termdepth.verify import _LAWS, _REGULAR_ATTEMPTS
 
 
 class TestGenConfig:
@@ -76,6 +79,10 @@ class TestGenTerm:
         cfg = GenConfig(seed=1, max_depth=0)
         for trial in range(20):
             assert isinstance(gen_term(cfg, sig23, trial_stream(1, trial)), Var)
+
+    def test_rejects_empty_variable_pool(self, sig23):
+        with pytest.raises(ValueError, match="variable pool is empty"):
+            gen_term(GenConfig(seed=1), sig23, trial_stream(1, 0), var_pool=[])
 
     def test_deterministic_for_fixed_seed(self, sig23):
         cfg = GenConfig(seed=2, max_depth=5)
@@ -129,6 +136,16 @@ class TestGenHyp:
         for trial in range(200):
             h = gen_hyp(cfg, sig23, trial_stream(9, trial), regular=True)
             assert is_regular_hyp(h)
+
+    def test_regular_image_falls_back_after_the_attempt_cap(self, sig2):
+        # at depth 0 every draw is a single variable, never both of f's
+        rng = trial_stream(0, 0)
+        h = gen_hyp(GenConfig(max_depth=0), sig2, rng, regular=True)
+        assert render_term(h.image("f")) == "f(x1,x2)"
+        twin = trial_stream(0, 0)
+        for _ in range(_REGULAR_ATTEMPTS):
+            twin.choice((Var(1), Var(2)))
+        assert rng.getstate() == twin.getstate()
 
     def test_deterministic(self, sig23):
         cfg = GenConfig(seed=10, projection_rate=0.3, deletion_bias=0.3)
@@ -235,6 +252,18 @@ class TestCheckTheorem:
             assert is_full_hyp(h1) and is_full_hyp(h2)
             assert not is_full_hyp(compose_hyp(h1, h2))
             assert (disc.predicted, disc.actual) == (1, 0)
+
+    def test_shrink_candidates_fail_only_inside_the_law_domain(self, sig2):
+        h = parse_hyp("f -> f(x1,x1)", sig2)
+        t = parse_term("f(f(x1,f(f(x1,x1),x1)),x1)", sig2)
+        assert _LAWS["thm5.1"].fails(sig2, {"sigma": h, "t": t})
+        # the thm2.3 predictor rejects a non-full outer term
+        s = parse_term("f(x1,f(x1,x1))", sig2)
+        assert not _LAWS["thm2.3"].fails(sig2, {"s": s, "t1": t, "t2": t})
+        # lemma2.2 composes full terms only; x1 is not one
+        full = parse_term("f(x2,x1)", sig2)
+        assert not is_full(superpose(full, [Var(1), full]))
+        assert not _LAWS["lemma2.2"].fails(sig2, {"s": full, "t1": Var(1), "t2": full})
 
     def test_pinned_mixed_arity_closure_counterexample(self, sig23):
         h1 = parse_hyp("f1 -> f1(x2,x1)\nf2 -> f1(f2(x2,x1,x3),f1(x2,x1))", sig23)
