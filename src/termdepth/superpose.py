@@ -108,9 +108,9 @@ def predict_depth_full(s: Term, ts: Sequence[Term], sig: Signature) -> int:
     sig.validate_term(s)
     if not is_full(s):
         raise ValueError("outer term must be full")
+    ts = _argument_terms(s, ts)
     if len(ts) != n:
         raise ValueError(f"expected {n} argument terms, got {len(ts)}")
-    ts = _argument_terms(s, ts)
     return max(depth(t) for t in ts) + depth(s)
 
 
