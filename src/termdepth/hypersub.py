@@ -7,10 +7,10 @@ of each symbol onto the rewritten children while leaving variables fixed.
 Composition of hypersubstitutions and the identity make them a monoid.
 
 Each image is compiled once per hypersubstitution, on first use, into a
-straight-line program together with its row of per-variable depths and
-its variable set.  ``apply_hyp`` runs one program per distinct node of the
-term, and ``b_of``, ``b_trace`` and ``is_regular_hyp`` read the rows and
-sets, so no call walks an image again.
+straight-line program together with its row of per-variable depths.
+``apply_hyp`` runs one program per distinct node of the term, and ``b_of``
+and ``b_trace`` read the rows, so neither walks an image again;
+``is_regular_hyp`` walks each image once per call.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .superpose import Program, _compile, _run, is_full
-from .terms import App, Signature, Term, Var, _order, _variable_depths, arity_bound, depth
+from .terms import App, Signature, Term, Var, _order, _variable_depths, arity_bound, depth, variables
 
 __all__ = [
     "Hypersubstitution",
@@ -40,7 +40,6 @@ class _Image(NamedTuple):
 
     program: Program  # the image over n argument registers
     row: tuple[int, ...]  # row[p - 1] is depth_wrt(image, p), for p in 1..n
-    variables: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ class Hypersubstitution:
             image = self.assignment[name]
             found = _variable_depths(image)
             row = tuple(found.get(place, 0) for place in range(1, arity + 1))
-            out[name] = _Image(_compile(image, arity), row, frozenset(found))
+            out[name] = _Image(_compile(image, arity), row)
         return out
 
 
@@ -161,9 +160,8 @@ def is_full_hyp(h: Hypersubstitution) -> bool:
 
 def is_regular_hyp(h: Hypersubstitution) -> bool:
     """Whether every image uses exactly the variables x1..xn of its symbol."""
-    images = h._images
     return all(
-        images[name].variables == set(range(1, arity + 1))
+        variables(h.assignment[name]) == set(range(1, arity + 1))
         for name, arity in h.signature.symbols.items()
     )
 

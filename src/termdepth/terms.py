@@ -6,13 +6,14 @@ to exactly arity-many subterms.  Depth is tree height: 0 for a variable,
 the measure to paths that reach a chosen variable.
 
 Terms are immutable and may share subterm objects freely; a parsed term
-holds one ``Var`` object per variable index.  Each node caches its depth
-and arity bound when it is built, so ``depth`` and ``arity_bound`` take
-O(1) time.  The other measures are folds over the distinct nodes in one
-idiom, ``for node in _order(t): memo[id(node)] = ...``: ``_order`` lists
-each distinct node once, children first, from one explicit stack
-(``variables`` keeps a seen-set walk).  The public ``postorder`` iterates
-the same list, so it needs O(distinct nodes) memory before its first item.
+holds one ``Var`` object per variable index.  Each node caches only its
+depth when it is built, so ``depth`` takes O(1) time.  Every other measure,
+the structural hash and ``arity_bound`` included, is a fold over the
+distinct nodes on each call, in one idiom, ``for node in _order(t):
+memo[id(node)] = ...``: ``_order`` lists each distinct node once, children
+first, from one explicit stack (``variables`` and ``arity_bound`` keep a
+seen-set walk).  The public ``postorder`` iterates the same list, so it
+needs O(distinct nodes) memory before its first item.
 Nothing recurses, so both very deep terms (10^5 levels and beyond) and
 heavily shared ones are safe.  ``repr`` renders at most 121 tokens, enough
 for the 120 characters it shows, so it is cheap on any term.
@@ -21,8 +22,8 @@ Being immutable, a term is its own copy: ``copy.copy`` and
 ``copy.deepcopy`` return it unchanged.  A term pickles as a table of its
 distinct nodes in ``_order``, so the pickle is linear in the distinct
 nodes; unpickling rebuilds the table through the ``Var`` and ``App``
-checks, keeps the sharing, and computes the hashes in the loading process.
-``Signature`` and ``DepthReport`` pickle and copy through their constructors.
+checks and keeps the sharing.  ``Signature`` and ``DepthReport`` pickle and
+copy through their constructors.
 """
 
 from __future__ import annotations
@@ -133,7 +134,16 @@ class Term:
         return _structurally_equal(self, other)
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        """Structural hash, an uncached fold over the distinct nodes, so each call
+        takes O(distinct nodes): ``hash(("x", i))``, ``hash((symbol, child hashes))``."""
+        memo: dict[int, int] = {}
+        for node in _order(self):
+            if type(node) is Var:
+                memo[id(node)] = hash(("x", node.index))
+            else:
+                hashes = tuple([memo[id(a)] for a in node.args])  # type: ignore[attr-defined]
+                memo[id(node)] = hash((node.symbol, hashes))  # type: ignore[attr-defined]
+        return memo[id(self)]
 
     def __copy__(self) -> Term:
         return self
@@ -159,16 +169,14 @@ class Term:
 class Var(Term):
     """A variable leaf ``x<index>`` with index >= 1."""
 
-    __slots__ = ("index", "_hash", "_depth", "_bound")
+    __slots__ = ("index",)
+    _depth = 0
 
     def __init__(self, index: int):
         # _check_int's rule written out: a call per leaf built costs too much
         if not isinstance(index, int) or isinstance(index, bool) or index < 1:
             raise ValueError(f"variable index must be an integer >= 1, got {index!r}")
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_hash", hash(("x", index)))
-        object.__setattr__(self, "_depth", 0)
-        object.__setattr__(self, "_bound", index)
 
     def __repr__(self) -> str:
         return f"Var({self.index})"
@@ -177,7 +185,7 @@ class Var(Term):
 class App(Term):
     """An operation symbol applied to a fixed tuple of subterms."""
 
-    __slots__ = ("symbol", "args", "_hash", "_depth", "_bound")
+    __slots__ = ("symbol", "args", "_depth")
 
     def __init__(self, symbol: str, args: Iterable[Term]):
         args = tuple(args)
@@ -200,28 +208,19 @@ class App(Term):
 _new_object = object.__new__
 _set_symbol = App.symbol.__set__  # type: ignore[attr-defined]
 _set_args = App.args.__set__  # type: ignore[attr-defined]
-_set_hash = App._hash.__set__  # type: ignore[attr-defined]
 _set_depth = App._depth.__set__  # type: ignore[attr-defined]
-_set_bound = App._bound.__set__  # type: ignore[attr-defined]
 
 
 def _fill(node: App, symbol: str, args: tuple[Term, ...]) -> None:
     # Sets the slots through their descriptors (Term.__setattr__ refuses)
-    # and caches the per-node facts read in O(1) later: the structural hash,
-    # the depth and the arity bound (largest variable index).
-    hashes = []
-    height = bound = 0
+    # and caches the one per-node fact, the depth, which every law reads.
+    height = 0
     for a in args:
-        hashes.append(a._hash)  # type: ignore[attr-defined]
         if a._depth >= height:  # type: ignore[attr-defined]
             height = a._depth + 1  # type: ignore[attr-defined]
-        if a._bound > bound:  # type: ignore[attr-defined]
-            bound = a._bound  # type: ignore[attr-defined]
     _set_symbol(node, symbol)
     _set_args(node, args)
-    _set_hash(node, hash((symbol, tuple(hashes))))
     _set_depth(node, height)
-    _set_bound(node, bound)
 
 
 def _app(symbol: str, args: tuple[Term, ...]) -> App:
@@ -256,17 +255,17 @@ def _from_table(table: tuple[object, ...]) -> Term:
 
 
 def _structurally_equal(a: Term, b: Term) -> bool:
-    # Pairwise walk with a cached-hash fast path; no recursion.  Visited
-    # pairs are memoized so equality of terms with heavy subterm sharing
-    # stays polynomial instead of unfolding the whole tree product; this is
-    # sound because any mismatch aborts the entire walk.
+    # Pairwise walk that rejects a pair whose cached depths differ; no
+    # recursion.  Visited pairs are memoized so equality of terms with heavy
+    # subterm sharing stays polynomial instead of unfolding the whole tree
+    # product; this is sound because any mismatch aborts the entire walk.
     seen: set[tuple[int, int]] = set()
     stack = [(a, b)]
     while stack:
         a, b = stack.pop()
         if a is b:
             continue
-        if type(a) is not type(b) or a._hash != b._hash:  # type: ignore[attr-defined]
+        if type(a) is not type(b) or a._depth != b._depth:  # type: ignore[attr-defined]
             return False
         if type(a) is Var:
             if a.index != b.index:  # type: ignore[union-attr]
@@ -398,9 +397,9 @@ def variables(t: Term) -> set[int]:
 def arity_bound(t: Term) -> int:
     """The least n such that ``t`` is n-ary: its maximum variable index.
 
-    Cached on each node when it is built, so this takes O(1) time.
+    A walk over the distinct nodes, so this takes O(distinct nodes) time.
     """
-    return t._bound  # type: ignore[attr-defined]
+    return max(variables(t))
 
 
 def depth(t: Term) -> int:
@@ -478,9 +477,9 @@ class DepthReport:
 def depth_report(t: Term, n: int) -> DepthReport:
     """Depth and per-variable depths of ``t`` viewed as an n-ary term."""
     _check_int(n, "arity n", None)
-    bound = arity_bound(t)
+    found = _variable_depths(t)
+    bound = max(found)
     if n < bound:
         raise ValueError(f"term is not {n}-ary: it uses x{bound}")
-    found = _variable_depths(t)
     per = {l: found.get(l, 0) for l in range(1, n + 1)}
     return DepthReport(depth=depth(t), per_variable=per, variables=frozenset(found))

@@ -3,9 +3,12 @@ the records' pickling and copying."""
 
 import copy
 import importlib
+import os
 import pickle
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +86,19 @@ def test_records_round_trip_through_pickle_and_deepcopy(make):
     for twin in twins:
         assert type(twin) is type(record) and twin == record and twin is not record
         assert hash(twin) == hash(record) and {record: "found"}[twin] == "found"
+
+
+def test_imports_nothing_beyond_the_standard_library():
+    # A fresh interpreter: what site hooks load before the import is left out.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import termdepth, termdepth.cli\n"
+        "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(termdepth.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    imported = set(done.stdout.split())
+    assert "termdepth" in imported
+    assert imported - {"termdepth"} <= set(sys.stdlib_module_names)

@@ -30,6 +30,7 @@ from termdepth import (
 import oracles
 
 SIG = Signature({"f1": 2, "f2": 3})
+TWIN_SIG = Signature({"f1": 2, "f2": 3, "g": 2})
 
 variables_st = st.builds(Var, st.integers(min_value=1, max_value=3))
 terms = st.recursive(
@@ -55,17 +56,17 @@ images = {
 
 
 @st.composite
-def shared_dags(draw):
-    """A node of a random DAG over SIG: a few Var objects (equal indices
+def shared_dags(draw, sig=SIG):
+    """A node of a random DAG over ``sig``: a few Var objects (equal indices
     may be distinct objects), then applications whose arguments are any
     earlier nodes, repeats allowed.  Any node may be the root, a bare Var
     included."""
     indices = st.integers(min_value=1, max_value=3)
     nodes = [Var(draw(indices)) for _ in range(draw(st.integers(min_value=1, max_value=4)))]
     for _ in range(draw(st.integers(0, 12))):
-        symbol = draw(st.sampled_from(sorted(SIG.symbols)))
+        symbol = draw(st.sampled_from(sorted(sig.symbols)))
         places = st.integers(min_value=0, max_value=len(nodes) - 1)
-        arity = SIG.symbols[symbol]
+        arity = sig.symbols[symbol]
         args = draw(st.lists(places, min_size=arity, max_size=arity))
         nodes.append(App(symbol, [nodes[k] for k in args]))
     return nodes[draw(st.integers(min_value=0, max_value=len(nodes) - 1))]
@@ -242,6 +243,15 @@ def test_apply_hyp_matches_oracle_and_plugs_in_one_object_per_variable(h, t):
         for j, objects in plugged.items():
             assert all(o is objects[0] for o in objects)
             assert objects[0] == oracles.apply_hyp_rec(h, t.args[j - 1])
+
+
+# g and f1 share an arity, so only the symbol check tells them apart
+@given(shared_dags(TWIN_SIG), shared_dags(TWIN_SIG))
+def test_equality_and_hash_agree_with_rendering_on_shared_dags(a, b):
+    assert (a == b) == (render_term(a) == render_term(b))
+    if a == b:
+        assert hash(a) == hash(b)
+    assert arity_bound(a) == max(oracles.vars_rec(a))
 
 
 @given(shared_dags())

@@ -337,6 +337,8 @@ def shared_chain(levels):
         ),
         pytest.param(SIG2.validate_term, None, id="validate_term"),
         pytest.param(lambda t: t == shared_chain(SHARED_LEVELS), True, id="equality"),
+        pytest.param(lambda t: hash(t) == hash(shared_chain(SHARED_LEVELS)), True, id="hash"),
+        pytest.param(arity_bound, 1, id="arity_bound"),
         pytest.param(repr, "<term " + ("f(" * SHARED_LEVELS)[:117] + "...>", id="repr"),
     ],
 )
