@@ -42,6 +42,12 @@ class _Image(NamedTuple):
     row: tuple[int, ...]  # row[p - 1] is depth_wrt(image, p), for p in 1..n
 
 
+def _image_beyond_arity(name: str, image: Term, arity: int) -> str | None:
+    """The complaint when ``image`` uses a variable beyond ``name``'s arity, else None."""
+    bound = arity_bound(image)
+    return f"image of {name!r} uses x{bound} but {name!r} is {arity}-ary" if bound > arity else None
+
+
 @dataclass(frozen=True)
 class Hypersubstitution:
     """Total, arity-respecting assignment of an image term to every symbol.
@@ -65,10 +71,9 @@ class Hypersubstitution:
         for name, image in table.items():
             if not isinstance(image, Term):
                 raise ValueError(f"image of {name!r} is not a Term")
-            arity = self.signature.symbols[name]
-            bound = arity_bound(image)
-            if bound > arity:
-                raise ValueError(f"image of {name!r} uses x{bound} but {name!r} is {arity}-ary")
+            problem = _image_beyond_arity(name, image, self.signature.symbols[name])
+            if problem:
+                raise ValueError(problem)
             try:
                 self.signature.validate_term(image)
             except ValueError as exc:

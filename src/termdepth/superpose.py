@@ -4,29 +4,17 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .terms import (
-    Signature,
-    Term,
-    Var,
-    _app,
-    _order,
-    _variable_depths,
-    arity_bound,
-    depth,
-)
+from .terms import Signature, Term, Var, _app, _check_n_ary, _order, _variable_depths, depth
 
 __all__ = ["is_full", "predict_depth_full", "predict_depth_general", "superpose"]
 
 
-def _argument_terms(s: Term, ts: Sequence[Term]) -> tuple[Term, ...]:
-    """``ts`` as a tuple of Terms, once ``s`` is known to be ``len(ts)``-ary."""
+def _argument_terms(ts: Sequence[Term]) -> tuple[Term, ...]:
+    """``ts`` as a tuple, once each item is known to be a Term."""
     ts = tuple(ts)
     for t in ts:
         if not isinstance(t, Term):
             raise ValueError(f"argument term {t!r} is not a Term")
-    bound = arity_bound(s)
-    if bound > len(ts):
-        raise ValueError(f"outer term is not {len(ts)}-ary: it uses x{bound}")
     return ts
 
 
@@ -38,7 +26,7 @@ def superpose(s: Term, ts: Sequence[Term]) -> Term:
     occurs, so the composite can be measured in time linear in the number
     of distinct nodes even when its unfolded tree is huge.
     """
-    ts = _argument_terms(s, ts)
+    ts = _argument_terms(ts)
     return _run(_compile(s, len(ts)), ts)
 
 
@@ -50,15 +38,20 @@ Program = tuple[tuple[tuple[str, tuple[int, ...]], ...], int]
 
 
 def _compile(s: Term, n: int) -> Program:
-    """``s`` as a program over n argument registers; ``s`` must be n-ary."""
+    """``s`` as a program over n argument registers; raises ValueError, naming
+    the largest variable index, unless ``s`` is n-ary."""
     register: dict[int, int] = {}
     code: list[tuple[str, tuple[int, ...]]] = []
+    bound = 0
     for node in _order(s):
         if type(node) is Var:
             register[id(node)] = node.index - 1
+            if node.index > bound:
+                bound = node.index
         else:
             register[id(node)] = n + len(code)
             code.append((node.symbol, tuple([register[id(a)] for a in node.args])))
+    _check_n_ary(bound, n, "outer term")
     return tuple(code), register[id(s)]
 
 
@@ -100,7 +93,8 @@ def predict_depth_full(s: Term, ts: Sequence[Term], sig: Signature) -> int:
 
     Computed without building the composite as
     ``max(depth(t) for t in ts) + depth(s)``.  The single-arity requirement
-    is essential; mixed-arity signatures break the additive rule.
+    is essential; mixed-arity signatures break the additive rule.  A full
+    ``s`` over arity n uses exactly x1..xn, so ``ts`` must hold n terms.
     """
     n = sig.common_arity()
     if n is None:
@@ -108,7 +102,7 @@ def predict_depth_full(s: Term, ts: Sequence[Term], sig: Signature) -> int:
     sig.validate_term(s)
     if not is_full(s):
         raise ValueError("outer term must be full")
-    ts = _argument_terms(s, ts)
+    ts = _argument_terms(ts)
     if len(ts) != n:
         raise ValueError(f"expected {n} argument terms, got {len(ts)}")
     return max(depth(t) for t in ts) + depth(s)
@@ -120,5 +114,7 @@ def predict_depth_general(s: Term, ts: Sequence[Term]) -> int:
     Equals ``max(depth_wrt(s, j) + depth(ts[j-1]))`` over the variables
     ``x_j`` occurring in ``s``.
     """
-    ts = _argument_terms(s, ts)
-    return max(d + depth(ts[j - 1]) for j, d in _variable_depths(s).items())
+    ts = _argument_terms(ts)
+    found = _variable_depths(s)
+    _check_n_ary(max(found), len(ts), "outer term")
+    return max(d + depth(ts[j - 1]) for j, d in found.items())

@@ -11,8 +11,8 @@ depth when it is built, so ``depth`` takes O(1) time.  Every other measure,
 the structural hash and ``arity_bound`` included, is a fold over the
 distinct nodes on each call, in one idiom, ``for node in _order(t):
 memo[id(node)] = ...``: ``_order`` lists each distinct node once, children
-first, from one explicit stack (``variables`` and ``arity_bound`` keep a
-seen-set walk).  The public ``postorder`` iterates the same list, so it
+first, from one explicit stack, and ``variables`` collects its set from
+the same list.  The public ``postorder`` iterates the same list, so it
 needs O(distinct nodes) memory before its first item.
 Nothing recurses, so both very deep terms (10^5 levels and beyond) and
 heavily shared ones are safe.  ``repr`` renders at most 121 tokens, enough
@@ -379,19 +379,7 @@ def _variable_depths(t: Term) -> dict[int, int]:
 
 def variables(t: Term) -> set[int]:
     """The set of variable indices occurring in ``t``."""
-    out: set[int] = set()
-    seen: set[int] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if type(node) is Var:
-            out.add(node.index)
-        else:
-            stack.extend(node.args)
-    return out
+    return {node.index for node in _order(t) if type(node) is Var}  # type: ignore[attr-defined]
 
 
 def arity_bound(t: Term) -> int:
@@ -400,6 +388,13 @@ def arity_bound(t: Term) -> int:
     A walk over the distinct nodes, so this takes O(distinct nodes) time.
     """
     return max(variables(t))
+
+
+def _check_n_ary(bound: int, n: int, what: str) -> None:
+    """Raise ValueError unless a term whose largest variable index is
+    ``bound`` is n-ary; the message starts with ``what``."""
+    if bound > n:
+        raise ValueError(f"{what} is not {n}-ary: it uses x{bound}")
 
 
 def depth(t: Term) -> int:
@@ -478,8 +473,6 @@ def depth_report(t: Term, n: int) -> DepthReport:
     """Depth and per-variable depths of ``t`` viewed as an n-ary term."""
     _check_int(n, "arity n", None)
     found = _variable_depths(t)
-    bound = max(found)
-    if n < bound:
-        raise ValueError(f"term is not {n}-ary: it uses x{bound}")
+    _check_n_ary(max(found), n, "term")
     per = {l: found.get(l, 0) for l in range(1, n + 1)}
     return DepthReport(depth=depth(t), per_variable=per, variables=frozenset(found))

@@ -29,8 +29,8 @@ import re
 from dataclasses import dataclass
 from itertools import islice
 
-from .hypersub import Hypersubstitution, _hyp
-from .terms import _IDENTIFIER, _VARIABLE_NAME, Signature, Term, Var, _app, arity_bound, render_term
+from .hypersub import Hypersubstitution, _hyp, _image_beyond_arity
+from .terms import _IDENTIFIER, _VARIABLE_NAME, Signature, Term, Var, _app, render_term
 
 __all__ = [
     "ParseError",
@@ -231,11 +231,9 @@ def parse_hyp(text: str, sig: Signature) -> Hypersubstitution:
             head = term_text.encode()
             at = [term_start + len(head[:b].decode()) for b in (exc.span.start, exc.span.end)]
             raise _error(exc.message, text, *at) from None
-        bound = arity_bound(image)
-        arity = sig.symbols[name]
-        if bound > arity:
-            message = f"image of {name!r} uses x{bound} but {name!r} is {arity}-ary"
-            raise _error(message, text, term_start, end)
+        problem = _image_beyond_arity(name, image, sig.symbols[name])
+        if problem:
+            raise _error(problem, text, term_start, end)
         images[name] = image
     missing = [name for name in sig.symbols if name not in images]
     if missing:

@@ -29,7 +29,7 @@ from .hypersub import (
 )
 from .occurrences import b_of
 from .superpose import is_full, predict_depth_full, predict_depth_general, superpose
-from .terms import App, Signature, Term, Var, _app, _check_int, depth, variables
+from .terms import App, Signature, Term, Var, _app, _check_int, _order, depth, variables
 from .textio import _render_input
 
 __all__ = [
@@ -314,12 +314,18 @@ def _replace_path(t: Term, path: tuple[int, ...], replacement: Term) -> Term:
 
 def _term_candidates(t: Term) -> Iterator[Term]:
     """Strictly smaller variants of ``t``: hoisted children first, then each
-    application subtree collapsed to one of its own variables."""
+    application subtree collapsed to its least variable."""
     if type(t) is Var:
         return
     yield from t.args  # type: ignore[union-attr]
+    least: dict[int, int] = {}  # each node's least variable index
+    for node in _order(t):
+        if type(node) is Var:
+            least[id(node)] = node.index
+        else:
+            least[id(node)] = min([least[id(a)] for a in node.args])  # type: ignore[attr-defined]
     for path, node in _app_positions(t):
-        yield _replace_path(t, path, Var(min(variables(node))))
+        yield _replace_path(t, path, Var(least[id(node)]))
 
 
 def _hyp_candidates(h: Hypersubstitution) -> Iterator[Hypersubstitution]:

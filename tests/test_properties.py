@@ -26,6 +26,7 @@ from termdepth import (
     variables,
     yield_word,
 )
+from termdepth.verify import _term_candidates
 
 import oracles
 
@@ -56,14 +57,14 @@ images = {
 
 
 @st.composite
-def shared_dags(draw, sig=SIG):
+def shared_dags(draw, sig=SIG, max_apps=12):
     """A node of a random DAG over ``sig``: a few Var objects (equal indices
-    may be distinct objects), then applications whose arguments are any
-    earlier nodes, repeats allowed.  Any node may be the root, a bare Var
-    included."""
+    may be distinct objects), then up to ``max_apps`` applications whose
+    arguments are any earlier nodes, repeats allowed.  Any node may be the
+    root, a bare Var included."""
     indices = st.integers(min_value=1, max_value=3)
     nodes = [Var(draw(indices)) for _ in range(draw(st.integers(min_value=1, max_value=4)))]
-    for _ in range(draw(st.integers(0, 12))):
+    for _ in range(draw(st.integers(0, max_apps))):
         symbol = draw(st.sampled_from(sorted(sig.symbols)))
         places = st.integers(min_value=0, max_value=len(nodes) - 1)
         arity = sig.symbols[symbol]
@@ -265,3 +266,31 @@ def test_pickle_keeps_the_term_and_its_sharing(t):
     assert loaded == t and hash(loaded) == hash(t)
     # equal node tables: the same distinct nodes, each with the same arguments
     assert loaded.__reduce__() == t.__reduce__()
+
+
+def _candidates_reference(t):
+    """Hoisted children, then each application position in preorder
+    collapsed to the least variable of its subtree, over the unfolded tree."""
+    if isinstance(t, Var):
+        return []
+    out = list(t.args)
+
+    def visit(node, plug):
+        # plug(r) rebuilds the whole term with r at this position
+        if isinstance(node, Var):
+            return
+        out.append(plug(Var(min(oracles.vars_rec(node)))))
+        for i, child in enumerate(node.args):
+            visit(child, lambda r, node=node, i=i, plug=plug: plug(
+                App(node.symbol, node.args[:i] + (r,) + node.args[i + 1:])))
+
+    visit(t, lambda r: r)
+    return out
+
+
+# few applications: candidates follow tree positions, which sharing multiplies
+@given(shared_dags(max_apps=6))
+def test_shrink_candidates_keep_the_reference_order(t):
+    got = list(_term_candidates(t))
+    want = _candidates_reference(t)
+    assert [render_term(c) for c in got] == [render_term(c) for c in want]

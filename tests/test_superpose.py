@@ -54,6 +54,13 @@ class TestSuperpose:
         with pytest.raises(ValueError, match="not 2-ary"):
             superpose(s, [Var(1), Var(2)])
 
+    def test_beyond_arity_error_names_the_largest_index(self, sig2):
+        # the walk reaches x3 before x5: the check must not stop at x3
+        s = parse_term("f(x5,f(x3,x1))", sig2)
+        for compose in (superpose, predict_depth_general):
+            with pytest.raises(ValueError, match="outer term is not 2-ary: it uses x5$"):
+                compose(s, [Var(1), Var(2)])
+
 
 class TestIsFull:
     def test_permutation_frontier(self, sig2):
@@ -116,6 +123,8 @@ class TestPredictDepthFull:
         s = parse_term("f(x2,x1)", sig2)
         with pytest.raises(ValueError, match="expected 2 argument terms, got 3"):
             predict_depth_full(s, [Var(1), Var(2), Var(1)], sig2)
+        with pytest.raises(ValueError, match="expected 2 argument terms, got 1"):
+            predict_depth_full(s, [Var(1)], sig2)
 
     def test_additive_rule_needs_full_outer(self, binary_terms):
         # both outer terms have depth 2 and identical inputs, yet the
