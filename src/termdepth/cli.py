@@ -24,7 +24,7 @@ from pathlib import Path
 from .hypersub import apply_hyp, is_full_hyp, is_regular_hyp
 from .occurrences import b_of
 from .superpose import is_full, predict_depth_general, superpose
-from .terms import Signature, Term, arity_bound, depth, depth_report, depth_wrt
+from .terms import Signature, Term, depth, depth_report, depth_wrt
 from .textio import ParseError, _render_input, parse_hyp, parse_signature, parse_term, render_term
 from .verify import KINDS, GenConfig, check_theorem, signature_supports
 
@@ -96,7 +96,7 @@ def _cmd_depth(args) -> OutputRecord:
             {"wrt": args.wrt, "depth": value},
             text_lines=[str(value)],
         )
-    report = depth_report(t, arity_bound(t))
+    report = depth_report(t)
     result = {
         "depth": report.depth,
         "per_variable": {str(l): v for l, v in sorted(report.per_variable.items())},

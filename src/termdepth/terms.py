@@ -469,10 +469,18 @@ class DepthReport:
         return hash((self.depth, frozenset(self.per_variable.items()), self.variables))
 
 
-def depth_report(t: Term, n: int) -> DepthReport:
-    """Depth and per-variable depths of ``t`` viewed as an n-ary term."""
-    _check_int(n, "arity n", None)
+def depth_report(t: Term, n: int | None = None) -> DepthReport:
+    """Depth and per-variable depths of ``t`` viewed as an n-ary term.
+
+    ``n`` defaults to the least n for which ``t`` is n-ary, its largest
+    variable index, read off the same walk that finds the depths.
+    """
+    if n is not None:
+        _check_int(n, "arity n", None)
     found = _variable_depths(t)
-    _check_n_ary(max(found), n, "term")
+    bound = max(found)
+    if n is None:
+        n = bound
+    _check_n_ary(bound, n, "term")
     per = {l: found.get(l, 0) for l in range(1, n + 1)}
     return DepthReport(depth=depth(t), per_variable=per, variables=frozenset(found))

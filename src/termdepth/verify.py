@@ -9,6 +9,14 @@ Randomness is CPython's Mersenne Twister (``random.Random``).  Every trial
 draws from its own stream seeded with the string ``"<seed>:<trial>"``, so
 any single trial replays without rerunning the ones before it; that token
 is stored on each discrepancy.
+
+The term generators draw through the stream's ``random()`` and
+``getrandbits()`` by CPython's ``_randbelow`` rule, written inline (see
+the comment above :func:`gen_term`), so they consume the stream exactly as
+``choice``, ``randint``, ``shuffle`` and ``randrange`` do.  For a
+``random.Random`` subclass that overrides ``random()`` but not
+``getrandbits()``, CPython routes ``choice`` through that ``random()``; the
+generators do not, and still draw their choices from ``getrandbits()``.
 """
 
 from __future__ import annotations
@@ -128,6 +136,16 @@ def gen_signature(cfg: GenConfig, rng: random.Random) -> Signature:
     )
 
 
+# The generators draw by CPython's own rules, inlined: ``choice(seq)`` is
+# ``seq[_randbelow(len(seq))]``; ``_randbelow(n)`` draws
+# ``getrandbits(n.bit_length())`` again while the result is ``>= n``;
+# ``randint(a, b)`` is ``a + _randbelow(b - a + 1)``, ``randrange(r)`` is
+# ``_randbelow(r)``; ``shuffle(x)`` swaps ``x[i]`` with
+# ``x[_randbelow(i + 1)]`` for ``i = len(x) - 1 .. 1``.  So they consume the
+# stream exactly as those calls do, which the seed tokens' replay contract
+# needs; a property test pins this against the choice-based generators.
+
+
 def gen_term(
     cfg: GenConfig,
     sig: Signature,
@@ -147,11 +165,17 @@ def gen_term(
     leaves = tuple(Var(i) for i in pool)
     names = tuple(sig.symbols)
     arities = sig.symbols
+    getrandbits, draw = rng.getrandbits, rng.random
+    n_leaves, n_names = len(leaves), len(names)
+    k_leaves, k_names = n_leaves.bit_length(), n_names.bit_length()
     frames: list[list] = []  # [symbol, arity, args, sibling budget]
     pending = cfg.max_depth
     while True:
-        if pending == 0 or rng.random() < LEAF_PROBABILITY:
-            term: Term = rng.choice(leaves)
+        if pending == 0 or draw() < LEAF_PROBABILITY:
+            r = getrandbits(k_leaves)
+            while r >= n_leaves:
+                r = getrandbits(k_leaves)
+            term: Term = leaves[r]
             while True:
                 if not frames:
                     return term
@@ -163,7 +187,10 @@ def gen_term(
                 frames.pop()
                 term = _app(top[0], tuple(top[2]))
         else:
-            name = rng.choice(names)
+            r = getrandbits(k_names)
+            while r >= n_names:
+                r = getrandbits(k_names)
+            name = names[r]
             frames.append([name, arities[name], [], pending - 1])
             pending -= 1
 
@@ -182,19 +209,29 @@ def _gen_full(
     ``first_base_pool`` is given, the first frontier built uses it instead
     (which pins the maximum frontier arity, and with it the variable set).
     """
+    getrandbits = rng.getrandbits
+
+    def _randbelow(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    base, internal = tuple(base_names), tuple(internal_names)
+    first = tuple(first_base_pool) if first_base_pool is not None else None
     frames: list[list] = []  # [symbol, args, child targets]
     pending = target
-    force_first = first_base_pool is not None
     while True:
         if pending == 1:
-            if force_first:
-                name = rng.choice(tuple(first_base_pool))  # type: ignore[arg-type]
-                force_first = False
-            else:
-                name = rng.choice(tuple(base_names))
+            pool = base if first is None else first
+            first = None
+            name = pool[_randbelow(len(pool))]
             n = arities[name]
             perm = list(range(1, n + 1))
-            rng.shuffle(perm)
+            for i in range(n - 1, 0, -1):  # shuffle(perm)
+                j = _randbelow(i + 1)
+                perm[i], perm[j] = perm[j], perm[i]
             term = _app(name, tuple([Var(j) for j in perm]))
             while True:
                 if not frames:
@@ -207,10 +244,10 @@ def _gen_full(
                 frames.pop()
                 term = _app(top[0], tuple(top[1]))
         else:
-            name = rng.choice(tuple(internal_names))
+            name = internal[_randbelow(len(internal))]
             r = arities[name]
-            targets = [rng.randint(1, pending - 1) for _ in range(r)]
-            targets[rng.randrange(r)] = pending - 1  # one child carries the height
+            targets = [1 + _randbelow(pending - 1) for _ in range(r)]
+            targets[_randbelow(r)] = pending - 1  # one child carries the height
             frames.append([name, [], targets])
             pending = targets[0]
 

@@ -1,12 +1,14 @@
 """Law-level property tests over hypothesis-generated terms."""
 
 import pickle
+import random
 
 import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
 from termdepth import (
     App,
+    GenConfig,
     Hypersubstitution,
     Signature,
     Var,
@@ -17,10 +19,14 @@ from termdepth import (
     depth,
     depth_report,
     depth_wrt,
+    gen_full_hyp,
+    gen_full_term,
+    gen_term,
     length,
     parse_term,
     postorder,
     predict_depth_general,
+    render_hyp,
     render_term,
     superpose,
     variables,
@@ -255,6 +261,11 @@ def test_equality_and_hash_agree_with_rendering_on_shared_dags(a, b):
     assert arity_bound(a) == max(oracles.vars_rec(a))
 
 
+@given(shared_dags(TWIN_SIG))
+def test_depth_report_defaults_to_the_arity_bound_on_shared_dags(t):
+    assert depth_report(t) == depth_report(t, arity_bound(t))
+
+
 @given(shared_dags())
 def test_postorder_keeps_the_reference_node_order(t):
     assert [id(n) for n in postorder(t)] == [id(n) for n in oracles.postorder_reference(t)]
@@ -294,3 +305,36 @@ def test_shrink_candidates_keep_the_reference_order(t):
     got = list(_term_candidates(t))
     want = _candidates_reference(t)
     assert [render_term(c) for c in got] == [render_term(c) for c in want]
+
+
+# 1-9 symbols and pool entries cover every bit_length up to 4 and the
+# one-element pool, whose draw repeats getrandbits(1) until it reads 0;
+# arities up to 4 cover every shuffle width whose bit_length changes.
+@given(
+    st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=9),
+    st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=9),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_generators_draw_as_the_choice_based_reference(arities, pool, max_depth, seed):
+    sig = Signature({f"f{k}": a for k, a in enumerate(arities, 1)})
+    cfg = GenConfig(max_depth=max_depth, var_bound=len(pool))
+    full_depth = max(1, max_depth)
+    pairs = [
+        (lambda r: gen_term(cfg, sig, r), lambda r: oracles.gen_term_reference(cfg, sig, r)),
+        (
+            lambda r: gen_term(cfg, sig, r, var_pool=pool),
+            lambda r: oracles.gen_term_reference(cfg, sig, r, var_pool=pool),
+        ),
+        (
+            lambda r: gen_full_term(cfg, sig, r, depth=full_depth),
+            lambda r: oracles.gen_full_term_reference(cfg, sig, r, depth=full_depth),
+        ),
+        (lambda r: gen_full_hyp(cfg, sig, r), lambda r: oracles.gen_full_hyp_reference(cfg, sig, r)),
+    ]
+    for generate, reference in pairs:
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        got, want = generate(got_rng), reference(want_rng)
+        render = render_hyp if isinstance(want, Hypersubstitution) else render_term
+        assert render(got) == render(want)
+        assert got_rng.getstate() == want_rng.getstate()
