@@ -6,8 +6,9 @@ signature.  Its extension rewrites a term bottom-up, superposing the image
 of each symbol onto the rewritten children while leaving variables fixed.
 Composition of hypersubstitutions and the identity make them a monoid.
 
-Each image is compiled once per hypersubstitution, on first use, into a
-straight-line program together with its row of per-variable depths.
+Each image is compiled once per hypersubstitution, on first use: one
+``_order`` listing of it feeds ``_compile`` for its straight-line program
+and ``_variable_depths`` for its row of per-variable depths.
 ``apply_hyp`` runs one program per distinct node of the term, and ``b_of``
 and ``b_trace`` read the rows, so neither walks an image again;
 ``is_regular_hyp`` walks each image once per call.
@@ -101,10 +102,10 @@ class Hypersubstitution:
         # which the frozen dataclass leaves open.
         out = {}
         for name, arity in self.signature.symbols.items():
-            image = self.assignment[name]
-            found = _variable_depths(image)
+            nodes = _order(self.assignment[name])
+            found = _variable_depths(nodes)
             row = tuple(found.get(place, 0) for place in range(1, arity + 1))
-            out[name] = _Image(_compile(image, arity), row)
+            out[name] = _Image(_compile(nodes, arity), row)
         return out
 
 

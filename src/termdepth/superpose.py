@@ -27,7 +27,7 @@ def superpose(s: Term, ts: Sequence[Term]) -> Term:
     of distinct nodes even when its unfolded tree is huge.
     """
     ts = _argument_terms(ts)
-    return _run(_compile(s, len(ts)), ts)
+    return _run(_compile(_order(s), len(ts)), ts)
 
 
 # A straight-line program for an n-ary term: one instruction (symbol,
@@ -37,13 +37,14 @@ def superpose(s: Term, ts: Sequence[Term]) -> Term:
 Program = tuple[tuple[tuple[str, tuple[int, ...]], ...], int]
 
 
-def _compile(s: Term, n: int) -> Program:
-    """``s`` as a program over n argument registers; raises ValueError, naming
-    the largest variable index, unless ``s`` is n-ary."""
+def _compile(nodes: list[Term], n: int) -> Program:
+    """A term as a program over n argument registers, folding its ``_order``
+    list ``nodes`` (the root is ``nodes[-1]``); raises ValueError, naming the
+    largest variable index, unless the term is n-ary."""
     register: dict[int, int] = {}
     code: list[tuple[str, tuple[int, ...]]] = []
     bound = 0
-    for node in _order(s):
+    for node in nodes:
         if type(node) is Var:
             register[id(node)] = node.index - 1
             if node.index > bound:
@@ -52,7 +53,7 @@ def _compile(s: Term, n: int) -> Program:
             register[id(node)] = n + len(code)
             code.append((node.symbol, tuple([register[id(a)] for a in node.args])))
     _check_n_ary(bound, n, "outer term")
-    return tuple(code), register[id(s)]
+    return tuple(code), register[id(nodes[-1])]
 
 
 def _run(program: Program, args: Sequence[Term]) -> Term:
@@ -115,6 +116,6 @@ def predict_depth_general(s: Term, ts: Sequence[Term]) -> int:
     ``x_j`` occurring in ``s``.
     """
     ts = _argument_terms(ts)
-    found = _variable_depths(s)
+    found = _variable_depths(_order(s))
     _check_n_ary(max(found), len(ts), "outer term")
     return max(d + depth(ts[j - 1]) for j, d in found.items())

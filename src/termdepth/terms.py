@@ -5,8 +5,9 @@ to exactly arity-many subterms.  Depth is tree height: 0 for a variable,
 1 + the maximum child depth for an application.  ``depth_wrt`` restricts
 the measure to paths that reach a chosen variable.
 
-Terms are immutable and may share subterm objects freely; a parsed term
-holds one ``Var`` object per variable index.  Each node caches only its
+Terms are immutable and may share subterm objects freely; parsed and
+generated terms hold one ``Var`` object per variable index, and ``Var``
+checks its index by the package's one integer rule, ``_check_int``.  Each node caches only its
 depth when it is built, so ``depth`` takes O(1) time.  Every other measure,
 the structural hash and ``arity_bound`` included, is a fold over the
 distinct nodes on each call, in one idiom, ``for node in _order(t):
@@ -92,9 +93,6 @@ class Signature:
     def __repr__(self) -> str:
         return f"Signature({dict(self.symbols)!r})"
 
-    def __contains__(self, name: object) -> bool:
-        return name in self.symbols
-
     def __iter__(self) -> Iterator[str]:
         return iter(self.symbols)
 
@@ -173,9 +171,7 @@ class Var(Term):
     _depth = 0
 
     def __init__(self, index: int):
-        # _check_int's rule written out: a call per leaf built costs too much
-        if not isinstance(index, int) or isinstance(index, bool) or index < 1:
-            raise ValueError(f"variable index must be an integer >= 1, got {index!r}")
+        _check_int(index, "variable index", 1)
         object.__setattr__(self, "index", index)
 
     def __repr__(self) -> str:
@@ -354,17 +350,18 @@ def postorder(t: Term) -> Iterator[Term]:
     return iter(_order(t))
 
 
-def _variable_depths(t: Term) -> dict[int, int]:
-    """Map every variable index l of ``t`` to ``depth_wrt(t, l)`` in one pass.
+def _variable_depths(nodes: list[Term]) -> dict[int, int]:
+    """Map every variable index l of a term to ``depth_wrt(t, l)``, folding
+    its ``_order`` list ``nodes`` (the root ``t`` is ``nodes[-1]``).
 
     ``depth_wrt(t, l)`` is the longest root-to-leaf path that ends at an
     ``x_l`` leaf.  Visiting distinct nodes parents-first (reversed
-    ``_order``) and handing each child its longest distance from the root
+    ``nodes``) and handing each child its longest distance from the root
     finds all of them at once, in time linear in the distinct nodes.
     """
-    dist = {id(t): 0}
+    dist = {id(nodes[-1]): 0}
     out: dict[int, int] = {}
-    for node in reversed(_order(t)):
+    for node in reversed(nodes):
         d = dist[id(node)]
         if type(node) is Var:
             if out.get(node.index, -1) < d:
@@ -412,7 +409,7 @@ def depth_wrt(t: Term, l: int) -> int:
     1 + the maximum over the children that contain ``x_l``.
     """
     _check_int(l, "variable index", 1)
-    return _variable_depths(t).get(l, 0)
+    return _variable_depths(_order(t)).get(l, 0)
 
 
 def yield_word(t: Term) -> list[int]:
@@ -477,7 +474,7 @@ def depth_report(t: Term, n: int | None = None) -> DepthReport:
     """
     if n is not None:
         _check_int(n, "arity n", None)
-    found = _variable_depths(t)
+    found = _variable_depths(_order(t))
     bound = max(found)
     if n is None:
         n = bound

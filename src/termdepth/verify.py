@@ -218,6 +218,7 @@ def _gen_full(
             r = getrandbits(k)
         return r
 
+    leaves = tuple(Var(i) for i in range(1, max(arities.values()) + 1))
     base, internal = tuple(base_names), tuple(internal_names)
     first = tuple(first_base_pool) if first_base_pool is not None else None
     frames: list[list] = []  # [symbol, args, child targets]
@@ -228,11 +229,11 @@ def _gen_full(
             first = None
             name = pool[_randbelow(len(pool))]
             n = arities[name]
-            perm = list(range(1, n + 1))
+            perm = list(leaves[:n])
             for i in range(n - 1, 0, -1):  # shuffle(perm)
                 j = _randbelow(i + 1)
                 perm[i], perm[j] = perm[j], perm[i]
-            term = _app(name, tuple([Var(j) for j in perm]))
+            term = _app(name, tuple(perm))
             while True:
                 if not frames:
                     return term
@@ -373,21 +374,18 @@ def _hyp_candidates(h: Hypersubstitution) -> Iterator[Hypersubstitution]:
             yield _hyp(h.signature, images)
 
 
-def _candidates(value: object) -> Iterator[object]:
-    if isinstance(value, Hypersubstitution):
-        yield from _hyp_candidates(value)
-    else:
-        yield from _term_candidates(value)  # type: ignore[arg-type]
-
-
 def _greedy_shrink(slots: Slots, fails: Callable[[Slots], bool]) -> Slots:
     # Every accepted candidate strictly reduces total node count, so this
     # terminates.
     improved = True
     while improved:
         improved = False
-        for key in slots:
-            for candidate in _candidates(slots[key]):
+        for key, value in slots.items():
+            if isinstance(value, Hypersubstitution):
+                candidates: Iterator[object] = _hyp_candidates(value)
+            else:
+                candidates = _term_candidates(value)  # type: ignore[arg-type]
+            for candidate in candidates:
                 trial = dict(slots)
                 trial[key] = candidate
                 if fails(trial):

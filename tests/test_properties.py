@@ -21,6 +21,7 @@ from termdepth import (
     depth_wrt,
     gen_full_hyp,
     gen_full_term,
+    gen_hyp,
     gen_term,
     length,
     parse_term,
@@ -32,11 +33,14 @@ from termdepth import (
     variables,
     yield_word,
 )
+from termdepth.superpose import _run
+from termdepth.terms import _order
 from termdepth.verify import _term_candidates
 
 import oracles
 
 SIG = Signature({"f1": 2, "f2": 3})
+REPLAY_SIGS = (Signature({"f": 2}), SIG, Signature({"g1": 1, "g2": 2, "g4": 4}))
 TWIN_SIG = Signature({"f1": 2, "f2": 3, "g": 2})
 
 variables_st = st.builds(Var, st.integers(min_value=1, max_value=3))
@@ -338,3 +342,27 @@ def test_generators_draw_as_the_choice_based_reference(arities, pool, max_depth,
         render = render_hyp if isinstance(want, Hypersubstitution) else render_term
         assert render(got) == render(want)
         assert got_rng.getstate() == want_rng.getstate()
+
+
+@given(st.sampled_from(REPLAY_SIGS), st.integers(min_value=1, max_value=6), st.integers(0, 2**32))
+def test_generated_and_parsed_terms_hold_one_var_per_index(sig, max_depth, seed):
+    cfg = GenConfig(max_depth=max_depth)
+    rng = random.Random(seed)
+    built = [gen_term(cfg, sig, rng), gen_full_term(cfg, sig, rng)]
+    for h in (gen_full_hyp(cfg, sig, rng), gen_hyp(cfg, sig, rng)):
+        built.extend(h.assignment.values())
+    for t in built + [parse_term(render_term(t), sig) for t in built]:
+        # _order lists each distinct object once
+        leaves = [node.index for node in _order(t) if type(node) is Var]
+        assert sorted(leaves) == sorted(variables(t))
+
+
+@given(st.sampled_from(REPLAY_SIGS), st.integers(min_value=1, max_value=6), st.integers(0, 2**32))
+def test_image_records_give_the_row_and_rebuild_the_image(sig, max_depth, seed):
+    cfg = GenConfig(max_depth=max_depth, projection_rate=0.2, deletion_bias=0.3)
+    h = gen_hyp(cfg, sig, random.Random(seed))
+    for name, arity in sig.symbols.items():
+        image, record = h.assignment[name], h._images[name]
+        places = range(1, arity + 1)
+        assert record.row == tuple(depth_wrt(image, p) for p in places)
+        assert _run(record.program, [Var(p) for p in places]) == image

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import time
 
 import pytest
@@ -86,8 +87,9 @@ class TestSignature:
 
 class TestTermValues:
     def test_rejects_bad_variable_indices(self):
-        for index in (0, -3, 1.0, True):
-            with pytest.raises(ValueError):
+        for index, shown in ((0, "0"), (-3, "-3"), (1.0, "1.0"), (True, "True")):
+            message = f"variable index must be an integer >= 1, got {shown}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 Var(index)
 
     def test_rejects_empty_applications(self):
