@@ -1,7 +1,7 @@
 """Randomized self-checks of the depth predictors.
 
-Generators build random signatures, terms and hypersubstitutions; a table
-of named laws says how each law draws a trial and compares the closed-form
+Generators build random terms and hypersubstitutions; a table of named
+laws says how each law draws a trial and compares the closed-form
 prediction against direct construction and measurement.  Every failing case
 is greedily shrunk and reported as a replayable :class:`Discrepancy`.
 
@@ -48,7 +48,6 @@ __all__ = [
     "gen_full_hyp",
     "gen_full_term",
     "gen_hyp",
-    "gen_signature",
     "gen_term",
     "trial_stream",
 ]
@@ -67,14 +66,12 @@ class GenConfig:
 
     seed: int = 0
     max_depth: int = 6
-    max_arity: int = 3
-    num_symbols: int = 2
     var_bound: int = 3
     projection_rate: float = 0.1
     deletion_bias: float = 0.1
 
     def __post_init__(self) -> None:
-        lowest = {"seed": 0, "max_depth": 0, "max_arity": 1, "num_symbols": 1, "var_bound": 1}
+        lowest = {"seed": 0, "max_depth": 0, "var_bound": 1}
         for name, low in lowest.items():
             _check_int(getattr(self, name), name, low)
         if self.seed >= 2**64:
@@ -127,13 +124,6 @@ def trial_stream(seed: int, trial: int) -> random.Random:
 
 # ---------------------------------------------------------------------------
 # Generators
-
-
-def gen_signature(cfg: GenConfig, rng: random.Random) -> Signature:
-    """Random signature with cfg.num_symbols symbols and arities 1..max_arity."""
-    return Signature(
-        {f"f{k}": rng.randint(1, cfg.max_arity) for k in range(1, cfg.num_symbols + 1)}
-    )
 
 
 # The generators draw by CPython's own rules, inlined: ``choice(seq)`` is
@@ -326,44 +316,36 @@ def gen_hyp(
 Slots = dict[str, object]
 
 
-def _app_positions(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
-    stack: list[tuple[tuple[int, ...], Term]] = [((), t)]
-    while stack:
-        path, node = stack.pop()
-        if type(node) is App:
-            yield path, node
-            for i in range(len(node.args) - 1, -1, -1):
-                stack.append((path + (i,), node.args[i]))
-
-
-def _replace_path(t: Term, path: tuple[int, ...], replacement: Term) -> Term:
-    if not path:
-        return replacement
-    spine: list[App] = [t]  # type: ignore[list-item]
-    for i in path[:-1]:
-        spine.append(spine[-1].args[i])  # type: ignore[union-attr]
-    result = replacement
-    for node, i in zip(reversed(spine), reversed(path)):
-        args = list(node.args)
-        args[i] = result
-        result = _app(node.symbol, tuple(args))
-    return result
-
-
 def _term_candidates(t: Term) -> Iterator[Term]:
-    """Strictly smaller variants of ``t``: hoisted children first, then each
-    application subtree collapsed to its least variable."""
+    """Strictly smaller variants of ``t``: hoisted children first, then one
+    per distinct application node, parents first, with that node replaced
+    by its least variable wherever it occurs.
+
+    Only nodes after the target in ``_order`` can be its ancestors, so each
+    candidate is a fold over that slice that rebuilds just the nodes with a
+    replaced argument.  On a tree the targets come in preorder, one per
+    application position.
+    """
     if type(t) is Var:
         return
     yield from t.args  # type: ignore[union-attr]
+    nodes = _order(t)
     least: dict[int, int] = {}  # each node's least variable index
-    for node in _order(t):
+    for node in nodes:
         if type(node) is Var:
             least[id(node)] = node.index
         else:
             least[id(node)] = min([least[id(a)] for a in node.args])  # type: ignore[attr-defined]
-    for path, node in _app_positions(t):
-        yield _replace_path(t, path, Var(least[id(node)]))
+    for k in range(len(nodes) - 1, -1, -1):
+        target = nodes[k]
+        if type(target) is Var:
+            continue
+        new: dict[int, Term] = {id(target): Var(least[id(target)])}
+        for node in nodes[k + 1:]:
+            if type(node) is App and any(id(a) in new for a in node.args):
+                args = tuple([new.get(id(a), a) for a in node.args])
+                new[id(node)] = _app(node.symbol, args)
+        yield new[id(t)]
 
 
 def _hyp_candidates(h: Hypersubstitution) -> Iterator[Hypersubstitution]:

@@ -9,6 +9,9 @@ order that every fold relies on.  The ``*_reference`` generators are the
 other exceptions: they keep the term generators as they were when they
 drew through ``rng.choice``, ``randint``, ``shuffle`` and ``randrange``, to
 pin the draw sequence that every seed token replays.
+``candidates_reference`` memoizes by node identity, because shrink
+candidates are defined per distinct node and shared DAGs unfold
+exponentially.
 """
 
 import random
@@ -36,6 +39,42 @@ def postorder_reference(t: Term):
         stack.append((node, True))
         if type(node) is App:
             stack.extend((a, False) for a in node.args if id(a) not in seen)
+
+
+def candidates_reference(t: Term) -> list[Term]:
+    """The shrink candidates over a DAG: hoisted children, then each
+    distinct application, parents first, replaced by its least variable
+    wherever that object occurs.  Recursive, memoized by node identity so
+    shared subterms are rebuilt once."""
+    if isinstance(t, Var):
+        return []
+    least: dict[int, int] = {}
+
+    def least_var(node: Term) -> int:
+        if id(node) not in least:
+            least[id(node)] = (
+                node.index if isinstance(node, Var) else min(least_var(a) for a in node.args)
+            )
+        return least[id(node)]
+
+    out = list(t.args)
+    for target in reversed(list(postorder_reference(t))):
+        if isinstance(target, Var):
+            continue
+        replacement = Var(least_var(target))
+        rebuilt: dict[int, Term] = {}
+
+        def rebuild(node: Term) -> Term:
+            if node is target:
+                return replacement
+            if isinstance(node, Var):
+                return node
+            if id(node) not in rebuilt:
+                rebuilt[id(node)] = App(node.symbol, tuple(rebuild(a) for a in node.args))
+            return rebuilt[id(node)]
+
+        out.append(rebuild(t))
+    return out
 
 
 def gen_term_reference(

@@ -21,7 +21,6 @@ from termdepth import (
     depth,
     depth_wrt,
     gen_hyp,
-    gen_signature,
     gen_term,
     hyp_depth,
     identity_hyp,
@@ -201,10 +200,10 @@ def test_a7_occurrence_predictor_suite():
 
 def test_a8_parser_round_trip_and_fuzz():
     with Criterion("A8 parser round-trip and fuzz robustness", budget=30.0) as c:
-        cfg = GenConfig(seed=80, max_depth=7, max_arity=3, num_symbols=3, var_bound=5)
+        cfg = GenConfig(seed=80, max_depth=7, var_bound=5)
         for trial in range(10_000):
             rng = trial_stream(80, trial)
-            sig = gen_signature(cfg, rng)
+            sig = Signature({f"f{k}": rng.randint(1, 3) for k in range(1, 4)})
             t = gen_term(cfg, sig, rng)
             text = render_term(t)
             parsed = parse_term(text, sig)

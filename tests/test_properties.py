@@ -303,12 +303,17 @@ def _candidates_reference(t):
     return out
 
 
-# few applications: candidates follow tree positions, which sharing multiplies
-@given(shared_dags(max_apps=6))
+@given(terms)
 def test_shrink_candidates_keep_the_reference_order(t):
     got = list(_term_candidates(t))
     want = _candidates_reference(t)
     assert [render_term(c) for c in got] == [render_term(c) for c in want]
+
+
+# renders of shared DAGs can be exponential, so compare structurally
+@given(shared_dags())
+def test_shrink_candidates_are_one_per_distinct_node(t):
+    assert list(_term_candidates(t)) == oracles.candidates_reference(t)
 
 
 # 1-9 symbols and pool entries cover every bit_length up to 4 and the

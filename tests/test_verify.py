@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from termdepth import (
@@ -14,7 +16,6 @@ from termdepth import (
     gen_full_hyp,
     gen_full_term,
     gen_hyp,
-    gen_signature,
     gen_term,
     is_full,
     is_full_hyp,
@@ -27,7 +28,7 @@ from termdepth import (
     trial_stream,
     variables,
 )
-from termdepth.verify import _LAWS, _REGULAR_ATTEMPTS
+from termdepth.verify import _LAWS, _REGULAR_ATTEMPTS, _greedy_shrink, _term_candidates
 
 
 class TestGenConfig:
@@ -40,15 +41,11 @@ class TestGenConfig:
             {"seed": -1},
             {"seed": 2**64},
             {"max_depth": -1},
-            {"max_arity": 0},
-            {"num_symbols": 0},
             {"var_bound": 0},
             {"projection_rate": 1.5},
             {"deletion_bias": -0.1},
             {"max_depth": 2.5},
-            {"max_arity": 2.5},
             {"var_bound": 2.5},
-            {"num_symbols": "3"},
             {"seed": True},
             {"projection_rate": "0.5"},
             {"projection_rate": None},
@@ -170,14 +167,6 @@ class TestGenFullHyp:
                 assert is_full_hyp(h)
 
 
-class TestGenSignature:
-    def test_shape(self):
-        cfg = GenConfig(seed=14, max_arity=4, num_symbols=5)
-        sig = gen_signature(cfg, trial_stream(14, 0))
-        assert len(sig.symbols) == 5
-        assert all(1 <= a <= 4 for a in sig.symbols.values())
-
-
 class TestCheckTheorem:
     def test_rejects_unknown_kind(self, sig2):
         with pytest.raises(ValueError, match="unknown check"):
@@ -264,6 +253,22 @@ class TestCheckTheorem:
         full = parse_term("f(x2,x1)", sig2)
         assert not is_full(superpose(full, [Var(1), full]))
         assert not _LAWS["lemma2.2"].fails(sig2, {"s": full, "t1": Var(1), "t2": full})
+
+    def test_shrinking_a_shared_chain_is_linear_in_its_distinct_nodes(self):
+        # 65 distinct nodes, 2**65 - 1 tree positions: two hoisted children,
+        # then one candidate per distinct application
+        t = Var(1)
+        for _ in range(64):
+            t = App("f", (t, t))
+        assert len(list(islice(_term_candidates(t), 1000))) == 66
+        calls = []
+
+        def fails(slots):
+            calls.append(slots)
+            return depth(slots["t"]) == 64
+
+        assert _greedy_shrink({"t": t}, fails)["t"] is t
+        assert len(calls) == 66
 
     def test_pinned_mixed_arity_closure_counterexample(self, sig23):
         h1 = parse_hyp("f1 -> f1(x2,x1)\nf2 -> f1(f2(x2,x1,x3),f1(x2,x1))", sig23)
