@@ -41,11 +41,15 @@ class TestGenConfig:
             {"seed": -1},
             {"seed": 2**64},
             {"max_depth": -1},
+            {"max_depth": None},
+            {"var_bound": -1},
             {"var_bound": 0},
             {"projection_rate": 1.5},
             {"deletion_bias": -0.1},
             {"max_depth": 2.5},
+            {"seed": 1.0},
             {"var_bound": 2.5},
+            {"var_bound": "3"},
             {"seed": True},
             {"projection_rate": "0.5"},
             {"projection_rate": None},
