@@ -6,19 +6,27 @@ Subcommands mirror the library: ``depth`` (depth reports), ``compose``
 ``check`` (fullness/regularity predicates) and ``verify`` (randomized law
 checks).
 
+Every subcommand's first positional argument is a signature file, which
+``main`` parses before it calls the subcommand's handler
+``_cmd_<name>(args, sig)``.  A handler returns ``(inputs, result, lines,
+discrepancies)``: the parsed inputs, the JSON-ready result, the text-mode
+lines and the discrepancy records.  ``main`` is the one writer: with
+``--json`` it prints one JSON object with the stable fields ``command``,
+``inputs``, ``result`` and ``discrepancies``, rendering the inputs to
+canonical text only then; in text mode it prints the lines, then one JSON
+record per discrepancy.  A reader that closes the pipe early is not an
+error.
+
 Exit codes: 0 on success, 1 when ``verify`` found discrepancies, 2 on
-usage or parse errors.  With ``--json`` each invocation prints one JSON
-object with the stable fields ``command``, ``inputs``, ``result`` and
-``discrepancies``; in text mode discrepancies are printed as one JSON
-record per line.
+usage or parse errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .hypersub import apply_hyp, is_full_hyp, is_regular_hyp
@@ -28,47 +36,15 @@ from .terms import Signature, Term, depth, depth_report, depth_wrt
 from .textio import ParseError, _render_input, parse_hyp, parse_signature, parse_term, render_term
 from .verify import KINDS, GenConfig, check_theorem, signature_supports
 
-__all__ = ["OutputRecord", "main"]
+__all__ = ["main"]
 
-
-@dataclass
-class OutputRecord:
-    """Result of one invocation, renderable as text or as one JSON object.
-
-    ``inputs`` holds the parsed objects (terms, signature, hypersubstitution)
-    as they were read; they are rendered to canonical text only when the
-    record is written as JSON, so text mode never renders them.
-    """
-
-    command: str
-    inputs: dict
-    result: object
-    discrepancies: list = field(default_factory=list)
-    text_lines: list = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "inputs": self.inputs,
-                "result": self.result,
-                "discrepancies": self.discrepancies,
-            },
-            default=_render_input,
-        )
-
-    def to_text(self) -> str:
-        lines = list(self.text_lines)
-        lines.extend(json.dumps(d, sort_keys=True) for d in self.discrepancies)
-        return "\n".join(lines)
+# The GenConfig fields that ``verify`` takes as flags; their types and
+# defaults are GenConfig's own.
+_GEN_FLAGS = ("seed", "max_depth", "projection_rate", "deletion_bias")
 
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
-
-
-def _load_signature(args) -> Signature:
-    return parse_signature(_read(args.signature))
 
 
 def _load_term(args, sig: Signature) -> Term:
@@ -80,121 +56,83 @@ def _load_term(args, sig: Signature) -> Term:
     return parse_term(text, sig)
 
 
-def _bool_text(value: bool) -> str:
-    return "true" if value else "false"
+def _text(value: object) -> str:
+    """``value`` as text output shows it: booleans as ``true``/``false``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
-def _cmd_depth(args) -> OutputRecord:
-    sig = _load_signature(args)
+def _field_lines(result: dict) -> list[str]:
+    return [f"{key}: {_text(value)}" for key, value in result.items()]
+
+
+def _cmd_depth(args, sig: Signature):
     t = _load_term(args, sig)
     inputs = {"signature": sig, "term": t}
     if args.wrt is not None:
         value = depth_wrt(t, args.wrt)
-        return OutputRecord(
-            "depth",
-            inputs,
-            {"wrt": args.wrt, "depth": value},
-            text_lines=[str(value)],
-        )
+        return inputs, {"wrt": args.wrt, "depth": value}, [str(value)], []
     report = depth_report(t)
+    per_variable = sorted(report.per_variable.items())
     result = {
         "depth": report.depth,
-        "per_variable": {str(l): v for l, v in sorted(report.per_variable.items())},
+        "per_variable": {str(l): v for l, v in per_variable},
         "vars": sorted(report.variables),
     }
     lines = [f"depth: {report.depth}"]
-    lines.extend(f"x{l}: {v}" for l, v in sorted(report.per_variable.items()))
-    lines.append("vars: " + " ".join(f"x{l}" for l in sorted(report.variables)))
-    return OutputRecord("depth", inputs, result, text_lines=lines)
+    lines.extend(f"x{l}: {v}" for l, v in per_variable)
+    lines.append("vars: " + " ".join(f"x{l}" for l in result["vars"]))
+    return inputs, result, lines, []
 
 
-def _result_record(command: str, inputs: dict, term: Term, predicted: int) -> OutputRecord:
+def _built(term: Term, predicted: int) -> dict:
     """The built term, its measured depth, the prediction and whether they agree."""
     measured = depth(term)
     agree = measured == predicted
-    result = {"term": render_term(term), "depth": measured, "predicted": predicted, "agree": agree}
-    lines = [
-        f"term: {result['term']}",
-        f"depth: {measured}",
-        f"predicted: {predicted}",
-        f"agree: {_bool_text(agree)}",
-    ]
-    return OutputRecord(command, inputs, result, text_lines=lines)
+    return {"term": render_term(term), "depth": measured, "predicted": predicted, "agree": agree}
 
 
-def _cmd_compose(args) -> OutputRecord:
-    sig = _load_signature(args)
+def _cmd_compose(args, sig: Signature):
     outer = parse_term(args.outer, sig)
     ts = [parse_term(text, sig) for text in args.args]
     inputs = {"signature": sig, "outer": outer, "args": ts}
     predicted = predict_depth_general(outer, ts)
-    if args.predict_only:
-        return OutputRecord(
-            "compose",
-            inputs,
-            {"predicted": predicted},
-            text_lines=[f"predicted: {predicted}"],
-        )
-    return _result_record("compose", inputs, superpose(outer, ts), predicted)
+    result = {"predicted": predicted} if args.predict_only else _built(superpose(outer, ts), predicted)
+    return inputs, result, _field_lines(result), []
 
 
-def _cmd_apply(args) -> OutputRecord:
-    sig = _load_signature(args)
+def _cmd_apply(args, sig: Signature):
     h = parse_hyp(_read(args.hyp), sig)
     t = _load_term(args, sig)
-    inputs = {"signature": sig, "hyp": h, "term": t}
-    return _result_record("apply", inputs, apply_hyp(h, t), b_of(h, t))
+    result = _built(apply_hyp(h, t), b_of(h, t))
+    return {"signature": sig, "hyp": h, "term": t}, result, _field_lines(result), []
 
 
-def _cmd_check(args) -> OutputRecord:
-    sig = _load_signature(args)
+def _cmd_check(args, sig: Signature):
     inputs: dict = {"signature": sig}
     if args.full is not None:
-        t = parse_term(args.full, sig)
-        inputs["term"] = t
-        answer = is_full(t)
-        predicate = "full"
+        inputs["term"] = t = parse_term(args.full, sig)
+        predicate, answer = "full", is_full(t)
     elif args.full_hyp is not None:
-        h = parse_hyp(_read(args.full_hyp), sig)
-        inputs["hyp"] = h
-        answer = is_full_hyp(h)
-        predicate = "full-hyp"
+        inputs["hyp"] = h = parse_hyp(_read(args.full_hyp), sig)
+        predicate, answer = "full-hyp", is_full_hyp(h)
     else:
-        h = parse_hyp(_read(args.regular), sig)
-        inputs["hyp"] = h
-        answer = is_regular_hyp(h)
-        predicate = "regular"
-    return OutputRecord(
-        "check",
-        inputs,
-        {"predicate": predicate, "holds": answer},
-        text_lines=[_bool_text(answer)],
-    )
+        inputs["hyp"] = h = parse_hyp(_read(args.regular), sig)
+        predicate, answer = "regular", is_regular_hyp(h)
+    return inputs, {"predicate": predicate, "holds": answer}, [_text(answer)], []
 
 
-def _cmd_verify(args) -> OutputRecord:
-    sig = _load_signature(args)
-    cfg = GenConfig(
-        seed=args.seed,
-        max_depth=args.max_depth,
-        projection_rate=args.projection_rate,
-        deletion_bias=args.deletion_bias,
-    )
+def _cmd_verify(args, sig: Signature):
+    gen = {name: getattr(args, name) for name in _GEN_FLAGS}
+    cfg = GenConfig(**gen)
     if args.theorem == "all":
         kinds = [k for k in KINDS if signature_supports(k, sig)]
         skipped = [k for k in KINDS if not signature_supports(k, sig)]
     else:
         kinds = [args.theorem]
         skipped = []
-    inputs = {
-        "signature": sig,
-        "theorem": args.theorem,
-        "trials": args.trials,
-        "seed": args.seed,
-        "max_depth": args.max_depth,
-        "projection_rate": args.projection_rate,
-        "deletion_bias": args.deletion_bias,
-    }
+    inputs = {"signature": sig, "theorem": args.theorem, "trials": args.trials, **gen}
     checks: dict = {}
     discrepancies: list = []
     lines: list = []
@@ -206,13 +144,7 @@ def _cmd_verify(args) -> OutputRecord:
     for kind in skipped:
         checks[kind] = {"skipped": "signature shape not supported"}
         lines.append(f"{kind}: skipped (signature shape not supported)")
-    return OutputRecord(
-        "verify",
-        inputs,
-        {"checks": checks},
-        discrepancies=discrepancies,
-        text_lines=lines,
-    )
+    return inputs, {"checks": checks}, lines, discrepancies
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -267,10 +199,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="which law to check",
     )
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-depth", type=int, default=6)
-    p.add_argument("--projection-rate", type=float, default=0.1)
-    p.add_argument("--deletion-bias", type=float, default=0.1)
+    for name in _GEN_FLAGS:
+        default = getattr(GenConfig, name)
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     add_json(p)
     p.set_defaults(handler=_cmd_verify)
 
@@ -278,15 +209,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        record = args.handler(args)
+        sig = parse_signature(_read(args.signature))
+        inputs, result, lines, discrepancies = args.handler(args, sig)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(record.to_json() if args.json else record.to_text())
-    return 1 if record.discrepancies else 0
+    if args.json:
+        record = {"command": args.command, "inputs": inputs, "result": result, "discrepancies": discrepancies}
+        text = json.dumps(record, default=_render_input)
+    else:
+        text = "\n".join([*lines, *(json.dumps(d, sort_keys=True) for d in discrepancies)])
+    status = 1 if discrepancies else 0
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull so that the
+        # interpreter's flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
 
 
 if __name__ == "__main__":

@@ -54,6 +54,15 @@ _IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _VARIABLE_NAME = re.compile(r"x[0-9]+")
 
 
+def _symbol_name_problem(name: object) -> str | None:
+    """The complaint when ``name`` cannot name an operation symbol, else None."""
+    if not isinstance(name, str) or not _IDENTIFIER.fullmatch(name):
+        return f"invalid operation symbol name {name!r}"
+    if _VARIABLE_NAME.fullmatch(name):
+        return f"symbol name {name!r} is reserved for variables"
+    return None
+
+
 def _check_int(value: object, what: str, low: int | None) -> None:
     """Raise ValueError unless ``value`` is an int, not a bool, and (when
     ``low`` is given) at least ``low``; the message starts with ``what``."""
@@ -77,10 +86,9 @@ class Signature:
         if not table:
             raise ValueError("a signature needs at least one operation symbol")
         for name, arity in table.items():
-            if not isinstance(name, str) or not _IDENTIFIER.fullmatch(name):
-                raise ValueError(f"invalid operation symbol name {name!r}")
-            if _VARIABLE_NAME.fullmatch(name):
-                raise ValueError(f"symbol name {name!r} is reserved for variables")
+            problem = _symbol_name_problem(name)
+            if problem:
+                raise ValueError(problem)
             _check_int(arity, f"arity of {name!r}", 1)
         object.__setattr__(self, "symbols", MappingProxyType(table))
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .hypersub import Hypersubstitution, _hyp, _image_beyond_arity
-from .terms import _IDENTIFIER, _VARIABLE_NAME, Signature, Term, Var, _app, render_term
+from .terms import _IDENTIFIER, _VARIABLE_NAME, Signature, Term, Var, _app, _symbol_name_problem, render_term
 
 __all__ = [
     "ParseError",
@@ -187,10 +187,9 @@ def parse_signature(text: str) -> Signature:
         if not sep:
             raise _error("expected 'name/arity'", text, start, end)
         name = name.rstrip(_WHITESPACE)
-        if not _IDENTIFIER.fullmatch(name):
-            raise _error(f"invalid operation symbol name {name!r}", text, start, end)
-        if _VARIABLE_NAME.fullmatch(name):
-            raise _error(f"symbol name {name!r} is reserved for variables", text, start, end)
+        problem = _symbol_name_problem(name)
+        if problem:
+            raise _error(problem, text, start, end)
         if name in table:
             raise _error(f"duplicate operation symbol {name!r}", text, start, end)
         arity_text = arity_text.strip(_WHITESPACE)

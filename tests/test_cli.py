@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import termdepth
 from termdepth.cli import main
 
 
@@ -358,7 +363,15 @@ PINNED_JSON = {
     "check-full": ("check", "{sig}", "--full", " f2(f1(x2, x1), x3, f1(x1,x1)) "),
     "check-regular": ("check", "{sig}", "--regular", "{hyp}"),
     "verify-thm3.3": ("verify", "{sig}", "--theorem", "thm3.3", "--trials", "30", "--seed", "5"),
+    # non-default generator flags, and one discrepancy for both writers
+    "verify-thm5.1": (
+        "verify", "{sig}", "--theorem", "thm5.1", "--trials", "30", "--seed", "3",
+        "--max-depth", "4", "--projection-rate", "0.3", "--deletion-bias", "0.4",
+    ),
 }
+
+# The exit code of each case that does not exit 0.
+PINNED_CODE = {"verify-thm5.1": 1}
 
 PINNED_STDOUT = {
     'apply': (
@@ -393,6 +406,29 @@ PINNED_STDOUT = {
         '{"command": "verify", "inputs": {"signature": "f1/2\\nf2/3", "theorem": "thm3.3", "trials": 30, "seed": 5, "max_depth": 6, "projection_rate": 0.1, "deletion_bias": 0.1}'
         ', "result": {"checks": {"thm3.3": {"trials": 30, "discrepancies": 0}}}, "discrepancies": []}\n'
     ),
+    'verify-thm5.1': (
+        '{"command": "verify", "inputs": {"signature": "f1/2\\nf2/3", "theorem": "thm5.1", "trials": 30, "seed": 3, "max_depth": 4, "projection_rate": 0.3, "deletion_bias": 0.4}'
+        ', "result": {"checks": {"thm5.1": {"trials": 30, "discrepancies": 1}}}'
+        ', "discrepancies": [{"kind": "thm5.1", "inputs": {"signature": "f1/2\\nf2/3", "sigma": "f1 -> f1(x1,x1)\\nf2 -> x1", "t": "f2(f1(x2,x1),x2,x2)"}'
+        ', "predicted": 0, "actual": 1, "seed_state": "3:12"}]}\n'
+    ),
+}
+
+# The exact text-mode stdout of the same invocations.
+PINNED_TEXT = {
+    "apply": "term: f2(f1(x1,x1),f1(x3,x3),f1(x2,x1))\ndepth: 2\npredicted: 2\nagree: true\n",
+    "check-full": "false\n",
+    "check-regular": "true\n",
+    "compose": "term: f2(x2,f1(f1(x1,x2),f2(x1,x1,x2)),f2(x1,x1,x2))\ndepth: 3\npredicted: 3\nagree: true\n",
+    "compose-predict-only": "predicted: 3\n",
+    "depth": "depth: 2\nx1: 2\nx2: 2\nx3: 1\nvars: x1 x2 x3\n",
+    "depth-wrt": "1\n",
+    "verify-thm3.3": "thm3.3: 30 trials, 0 discrepancies\n",
+    "verify-thm5.1": (
+        "thm5.1: 30 trials, 1 discrepancies\n"
+        '{"actual": 1, "inputs": {"sigma": "f1 -> f1(x1,x1)\\nf2 -> x1", "signature": "f1/2\\nf2/3", "t": "f2(f1(x2,x1),x2,x2)"}'
+        ', "kind": "thm5.1", "predicted": 0, "seed_state": "3:12"}\n'
+    ),
 }
 
 
@@ -404,8 +440,26 @@ def test_json_output_is_pinned(capsys, tmp_path, name):
     hyp.write_text(PINNED_HYP)
     argv = [a.format(sig=sig, hyp=hyp) for a in PINNED_JSON[name]]
     code, out, _ = run(capsys, *argv, "--json")
-    assert code == 0
+    assert code == PINNED_CODE.get(name, 0)
     assert out == PINNED_STDOUT[name]
+    code, out, _ = run(capsys, *argv)
+    assert code == PINNED_CODE.get(name, 0)
+    assert out == PINNED_TEXT[name]
+
+
+def test_a_reader_closing_the_pipe_is_not_an_error(tmp_path):
+    # The report of f(x1,x100000) is about 1 MB, more than a pipe buffer
+    # holds, so the writer is still writing when the reader goes away.
+    sig = tmp_path / "binary.sig"
+    sig.write_text("f/2\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(termdepth.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "termdepth.cli", "depth", str(sig), "--expr", "f(x1,x100000)"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"depth: 1\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0, err
+    assert "Traceback" not in err
 
 
 def test_text_mode_does_not_render_inputs(capsys, monkeypatch, tmp_path):
