@@ -2,10 +2,12 @@
 
 Terms are finite trees of variables and fixed-arity operation symbols.
 This package measures them (depth, per-variable depth, yield, length),
-composes them, rewrites them through hypersubstitutions, and ships exact
+composes them, rewrites them through hypersubstitutions, and ships
 closed-form predictors for the depth of the results together with a
 randomized verification harness that checks every predictor against
-direct construction.
+direct construction.  Each predictor is exact inside its stated domain;
+outside it the harness reports shrunk counterexamples, as it does for
+``b_of`` (thm5.1) on images that are bare variables or drop variables.
 """
 
 from . import hypersub, occurrences, superpose, terms, textio, verify

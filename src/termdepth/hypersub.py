@@ -7,11 +7,11 @@ of each symbol onto the rewritten children while leaving variables fixed.
 Composition of hypersubstitutions and the identity make them a monoid.
 
 Each image is compiled once per hypersubstitution, on first use: one
-``_order`` listing of it feeds ``_compile`` for its straight-line program
-and ``_variable_depths`` for its row of per-variable depths.
-``apply_hyp`` runs one program per distinct node of the term, and ``b_of``
-and ``b_trace`` read the rows, so neither walks an image again;
-``is_regular_hyp`` walks each image once per call.
+``_order`` listing of it feeds ``terms._table`` for its node table and
+``_variable_depths`` for its row of per-variable depths.
+``apply_hyp`` runs one image table per distinct node of the term through
+``terms._run``, and ``b_of`` and ``b_trace`` read the rows, so neither
+walks an image again; ``is_regular_hyp`` walks each image once per call.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .superpose import Program, _compile, _run, is_full
-from .terms import App, Signature, Term, Var, _order, _variable_depths, arity_bound, depth, variables
+from .superpose import is_full
+from .terms import (
+    App, Signature, Term, Var, _order, _run, _table, _variable_depths, arity_bound, depth, variables
+)
 
 __all__ = [
     "Hypersubstitution",
@@ -39,7 +41,7 @@ __all__ = [
 class _Image(NamedTuple):
     """What a hypersubstitution uses of one n-ary symbol's image."""
 
-    program: Program  # the image over n argument registers
+    table: tuple[object, ...]  # the image's node table, over x1..xn
     row: tuple[int, ...]  # row[p - 1] is depth_wrt(image, p), for p in 1..n
 
 
@@ -105,7 +107,7 @@ class Hypersubstitution:
             nodes = _order(self.assignment[name])
             found = _variable_depths(nodes)
             row = tuple(found.get(place, 0) for place in range(1, arity + 1))
-            out[name] = _Image(_compile(nodes, arity), row)
+            out[name] = _Image(_table(nodes), row)
         return out
 
 
@@ -135,7 +137,7 @@ def apply_hyp(h: Hypersubstitution, t: Term) -> Term:
 
     Variables stay fixed; every application ``f(...)`` becomes the image of
     ``f`` superposed onto the rewritten children, by running ``f``'s
-    compiled program on them.  The result shares subterm objects, so
+    image table on them.  The result shares subterm objects, so
     repeated arguments do not blow up memory.
     """
     arities = h.signature.symbols
@@ -147,7 +149,7 @@ def apply_hyp(h: Hypersubstitution, t: Term) -> Term:
             continue
         if arities.get(node.symbol) != len(node.args):
             h.signature.validate_term(node)  # raises: the children already passed
-        memo[id(node)] = _run(images[node.symbol].program, [memo[id(a)] for a in node.args])
+        memo[id(node)] = _run(images[node.symbol].table, [memo[id(a)] for a in node.args])
     return memo[id(t)]
 
 
@@ -165,11 +167,13 @@ def is_full_hyp(h: Hypersubstitution) -> bool:
 
 
 def is_regular_hyp(h: Hypersubstitution) -> bool:
-    """Whether every image uses exactly the variables x1..xn of its symbol."""
-    return all(
-        variables(h.assignment[name]) == set(range(1, arity + 1))
-        for name, arity in h.signature.symbols.items()
-    )
+    """Whether every image uses exactly the variables x1..xn of its symbol:
+    n distinct indices whose largest is n, so no set of 1..n is built."""
+    for name, arity in h.signature.symbols.items():
+        vs = variables(h.assignment[name])
+        if not len(vs) == arity == max(vs):
+            return False
+    return True
 
 
 def hyp_depth(h: Hypersubstitution) -> int:

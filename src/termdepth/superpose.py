@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .terms import Signature, Term, Var, _app, _check_n_ary, _order, _variable_depths, depth
+from .terms import Signature, Term, Var, _check_n_ary, _order, _run, _table, _variable_depths, depth
 
 __all__ = ["is_full", "predict_depth_full", "predict_depth_general", "superpose"]
 
@@ -21,50 +21,16 @@ def _argument_terms(ts: Sequence[Term]) -> tuple[Term, ...]:
 def superpose(s: Term, ts: Sequence[Term]) -> Term:
     """Substitute ``ts[i-1]`` for every occurrence of ``x_i`` in ``s``.
 
-    ``s`` must be n-ary for n = ``len(ts)``.  The result shares structure
-    with the inputs: each ``ts[j]`` object is plugged in wherever ``x_j``
-    occurs, so the composite can be measured in time linear in the number
-    of distinct nodes even when its unfolded tree is huge.
+    ``s`` must be n-ary for n = ``len(ts)``.  The result is ``s``'s node
+    table run on ``ts``, so it shares structure with the inputs: each
+    ``ts[j]`` object is plugged in wherever ``x_j`` occurs, and the
+    composite can be measured in time linear in the number of distinct
+    nodes even when its unfolded tree is huge.
     """
     ts = _argument_terms(ts)
-    return _run(_compile(_order(s), len(ts)), ts)
-
-
-# A straight-line program for an n-ary term: one instruction (symbol,
-# operand registers) per distinct application node, children first, and the
-# register that holds the whole term.  Registers 0..n-1 are the argument
-# terms; instruction k writes register n + k.
-Program = tuple[tuple[tuple[str, tuple[int, ...]], ...], int]
-
-
-def _compile(nodes: list[Term], n: int) -> Program:
-    """A term as a program over n argument registers, folding its ``_order``
-    list ``nodes`` (the root is ``nodes[-1]``); raises ValueError, naming the
-    largest variable index, unless the term is n-ary."""
-    register: dict[int, int] = {}
-    code: list[tuple[str, tuple[int, ...]]] = []
-    bound = 0
-    for node in nodes:
-        if type(node) is Var:
-            register[id(node)] = node.index - 1
-            if node.index > bound:
-                bound = node.index
-        else:
-            register[id(node)] = n + len(code)
-            code.append((node.symbol, tuple([register[id(a)] for a in node.args])))
-    _check_n_ary(bound, n, "outer term")
-    return tuple(code), register[id(nodes[-1])]
-
-
-def _run(program: Program, args: Sequence[Term]) -> Term:
-    """The program's term with ``args[j]`` plugged in for ``x_{j+1}``:
-    shared nodes of the source stay shared, and each argument object is
-    reused wherever its variable occurs."""
-    code, result = program
-    registers = list(args)
-    for symbol, operands in code:
-        registers.append(_app(symbol, tuple([registers[i] for i in operands])))
-    return registers[result]
+    table = _table(_order(s))
+    _check_n_ary(max([entry for entry in table if type(entry) is not tuple]), len(ts), "outer term")
+    return _run(table, ts)
 
 
 def is_full(t: Term) -> bool:

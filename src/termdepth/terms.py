@@ -20,11 +20,14 @@ heavily shared ones are safe.  ``repr`` renders at most 121 tokens, enough
 for the 120 characters it shows, so it is cheap on any term.
 
 Being immutable, a term is its own copy: ``copy.copy`` and
-``copy.deepcopy`` return it unchanged.  A term pickles as a table of its
-distinct nodes in ``_order``, so the pickle is linear in the distinct
-nodes; unpickling rebuilds the table through the ``Var`` and ``App``
-checks and keeps the sharing.  ``Signature`` and ``DepthReport`` pickle and
-copy through their constructors.
+``copy.deepcopy`` return it unchanged.  ``_table`` encodes a term as its
+distinct nodes in ``_order``, and ``_run`` rebuilds one with other terms
+plugged in for its variables; composition, hypersubstitution and
+shrinking all rebuild terms that way.  A term pickles as its table, so the
+pickle is linear in the distinct nodes; unpickling (``_from_table``)
+rebuilds it through the ``Var`` and ``App`` checks and keeps the sharing.
+``Signature`` and ``DepthReport`` pickle and copy through their
+constructors.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "App",
@@ -158,18 +161,7 @@ class Term:
         return self
 
     def __reduce__(self) -> tuple[object, tuple[object, ...]]:
-        # The distinct nodes in _order, each a Var's index or (symbol, the
-        # table positions of its arguments); the root comes last.
-        place: dict[int, int] = {}
-        table: list[object] = []
-        for node in _order(self):
-            place[id(node)] = len(table)
-            if type(node) is Var:
-                table.append(node.index)
-            else:
-                places = tuple([place[id(a)] for a in node.args])  # type: ignore[attr-defined]
-                table.append((node.symbol, places))  # type: ignore[attr-defined]
-        return _from_table, (tuple(table),)
+        return _from_table, (_table(_order(self)),)
 
 
 class Var(Term):
@@ -238,9 +230,39 @@ def _app(symbol: str, args: tuple[Term, ...]) -> App:
     return node
 
 
+def _table(nodes: list[Term]) -> tuple[object, ...]:
+    """The node table of a term, folding its ``_order`` list ``nodes``: one
+    entry per node, a ``Var``'s index or an ``App``'s ``(symbol, places)``,
+    the table positions of its arguments; the root comes last."""
+    place: dict[int, int] = {}
+    table: list[object] = []
+    for node in nodes:
+        place[id(node)] = len(table)
+        if type(node) is Var:
+            table.append(node.index)
+        else:
+            places = tuple([place[id(a)] for a in node.args])  # type: ignore[attr-defined]
+            table.append((node.symbol, places))  # type: ignore[attr-defined]
+    return tuple(table)
+
+
+def _run(table: Sequence[object], args: Sequence[Term] | Mapping[int, Term]) -> Term:
+    """The table's term, built unchecked, with ``args[i - 1]`` plugged in
+    for each ``x_i`` entry: the table's sharing is kept, and each argument
+    object is reused wherever its variable occurs."""
+    built: list[Term] = []
+    for entry in table:
+        if type(entry) is tuple:
+            built.append(_app(entry[0], tuple([built[k] for k in entry[1]])))
+        else:
+            built.append(args[entry - 1])  # type: ignore[operator]
+    return built[-1]
+
+
 def _from_table(table: tuple[object, ...]) -> Term:
     """Rebuild a pickled term from its node table through the public
-    ``Var`` and ``App`` checks; a malformed table raises ValueError."""
+    ``Var`` and ``App`` checks; a malformed table raises ValueError.  The
+    checked twin of ``_run``, for tables from outside the program."""
     built: list[Term] = []
     for entry in table:
         if isinstance(entry, int):

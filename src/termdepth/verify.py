@@ -37,7 +37,7 @@ from .hypersub import (
 )
 from .occurrences import b_of
 from .superpose import is_full, predict_depth_full, predict_depth_general, superpose
-from .terms import App, Signature, Term, Var, _app, _check_int, _order, depth, variables
+from .terms import App, Signature, Term, Var, _app, _check_int, _order, _run, _table, depth, variables
 from .textio import _render_input
 
 __all__ = [
@@ -321,31 +321,29 @@ def _term_candidates(t: Term) -> Iterator[Term]:
     per distinct application node, parents first, with that node replaced
     by its least variable wherever it occurs.
 
-    Only nodes after the target in ``_order`` can be its ancestors, so each
-    candidate is a fold over that slice that rebuilds just the nodes with a
-    replaced argument.  On a tree the targets come in preorder, one per
-    application position.
+    Each candidate is ``t``'s node table run whole by ``_run`` over ``t``'s
+    own leaves, with the target's entry swapped for its least index, so it
+    takes O(distinct nodes) and holds one ``Var`` per index.  On a tree the
+    targets come in preorder, one per application position.
     """
     if type(t) is Var:
         return
     yield from t.args  # type: ignore[union-attr]
     nodes = _order(t)
-    least: dict[int, int] = {}  # each node's least variable index
-    for node in nodes:
-        if type(node) is Var:
-            least[id(node)] = node.index
+    table = list(_table(nodes))
+    least: list[int] = []  # each entry's least variable index
+    for entry in table:
+        if type(entry) is tuple:
+            least.append(min([least[k] for k in entry[1]]))
         else:
-            least[id(node)] = min([least[id(a)] for a in node.args])  # type: ignore[attr-defined]
-    for k in range(len(nodes) - 1, -1, -1):
-        target = nodes[k]
-        if type(target) is Var:
-            continue
-        new: dict[int, Term] = {id(target): Var(least[id(target)])}
-        for node in nodes[k + 1:]:
-            if type(node) is App and any(id(a) in new for a in node.args):
-                args = tuple([new.get(id(a), a) for a in node.args])
-                new[id(node)] = _app(node.symbol, args)
-        yield new[id(t)]
+            least.append(entry)  # type: ignore[arg-type]
+    leaves = {node.index - 1: node for node in nodes if type(node) is Var}  # type: ignore[attr-defined]
+    for k in range(len(table) - 1, -1, -1):
+        entry = table[k]
+        if type(entry) is tuple:
+            table[k] = least[k]
+            yield _run(table, leaves)
+            table[k] = entry
 
 
 def _hyp_candidates(h: Hypersubstitution) -> Iterator[Hypersubstitution]:

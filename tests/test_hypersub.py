@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import termdepth
 from termdepth import (
     App,
     GenConfig,
@@ -167,6 +173,24 @@ class TestPredicates:
         h = parse_hyp("f1 -> f1(x1,x2)\nf2 -> f1(x2,x1)", sig23)
         assert not is_full_hyp(h)
         assert not is_regular_hyp(h)
+
+    def test_regularity_memory_follows_the_images_not_the_arities(self):
+        # A set of 1..10**9 needs tens of GB; under a 1 GiB address-space
+        # limit the predicates must still answer, in a child process so a
+        # failure cannot take memory from anything else.
+        code = (
+            "import resource\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, hard))\n"
+            "from termdepth import Signature, is_full_hyp, is_regular_hyp, parse_hyp\n"
+            "h = parse_hyp('f -> f(x2,x1)\\ng -> x1', Signature({'f': 2, 'g': 10**9}))\n"
+            "print(is_regular_hyp(h), is_full_hyp(h))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(termdepth.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (done.returncode, done.stdout) == (0, "False False\n"), done.stderr
 
     def test_full_maps_full_terms_to_full_terms_single_arity(self, sig2, sig3):
         from termdepth import gen_full_hyp, gen_full_term, is_full

@@ -33,8 +33,7 @@ from termdepth import (
     variables,
     yield_word,
 )
-from termdepth.superpose import _run
-from termdepth.terms import _order
+from termdepth.terms import _order, _run
 from termdepth.verify import _term_candidates
 
 import oracles
@@ -356,7 +355,8 @@ def test_generated_and_parsed_terms_hold_one_var_per_index(sig, max_depth, seed)
     built = [gen_term(cfg, sig, rng), gen_full_term(cfg, sig, rng)]
     for h in (gen_full_hyp(cfg, sig, rng), gen_hyp(cfg, sig, rng)):
         built.extend(h.assignment.values())
-    for t in built + [parse_term(render_term(t), sig) for t in built]:
+    built += [parse_term(render_term(t), sig) for t in built]
+    for t in built + [c for t in built for c in _term_candidates(t)]:
         # _order lists each distinct object once
         leaves = [node.index for node in _order(t) if type(node) is Var]
         assert sorted(leaves) == sorted(variables(t))
@@ -370,4 +370,4 @@ def test_image_records_give_the_row_and_rebuild_the_image(sig, max_depth, seed):
         image, record = h.assignment[name], h._images[name]
         places = range(1, arity + 1)
         assert record.row == tuple(depth_wrt(image, p) for p in places)
-        assert _run(record.program, [Var(p) for p in places]) == image
+        assert _run(record.table, [Var(p) for p in places]) == image

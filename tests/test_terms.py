@@ -401,6 +401,16 @@ class TestCopyAndPickle:
         assert loaded.args[0] is loaded.args[1]
         assert len(list(postorder(loaded))) == len(list(postorder(t))) == SHARED_LEVELS + 1
 
+    def test_node_table_is_pinned(self):
+        # the pickle format: each distinct node in _order, a Var's index or
+        # (symbol, places), the root last
+        t = parse_term("f(f(x1,x2),x1)", SIG2)
+        assert t.__reduce__()[1] == ((1, 2, ("f", (0, 1)), ("f", (2, 0))),)
+        x1, x2 = Var(1), Var(2)
+        shared = App("f", (x1, x2))
+        dag = App("f", (App("f", (shared, shared)), shared))
+        assert dag.__reduce__()[1] == ((2, 1, ("f", (1, 0)), ("f", (2, 2)), ("f", (3, 2))),)
+
     @pytest.mark.parametrize(
         "table,message",
         [
