@@ -8,10 +8,10 @@ Composition of hypersubstitutions and the identity make them a monoid.
 
 Each image is compiled once per hypersubstitution, on first use: one
 ``_order`` listing of it feeds ``terms._table`` for its node table and
-``_variable_depths`` for its row of per-variable depths.
-``apply_hyp`` runs one image table per distinct node of the term through
-``terms._run``, and ``b_of`` and ``b_trace`` read the rows, so neither
-walks an image again; ``is_regular_hyp`` walks each image once per call.
+``_variable_depths`` for the depth of each variable it keeps.  ``apply_hyp``
+runs one image table per distinct node of the term through ``terms._run``,
+and ``b_of`` and ``b_trace`` read those depth maps, so neither walks an
+image again; ``is_regular_hyp`` walks each image once per call.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class _Image(NamedTuple):
     """What a hypersubstitution uses of one n-ary symbol's image."""
 
     table: tuple[object, ...]  # the image's node table, over x1..xn
-    row: tuple[int, ...]  # row[p - 1] is depth_wrt(image, p), for p in 1..n
+    depths: dict[int, int]  # depth_wrt(image, p) for each p in variables(image)
 
 
 def _image_beyond_arity(name: str, image: Term, arity: int) -> str | None:
@@ -103,11 +103,9 @@ class Hypersubstitution:
         # alone is read.  cached_property writes the instance __dict__,
         # which the frozen dataclass leaves open.
         out = {}
-        for name, arity in self.signature.symbols.items():
-            nodes = _order(self.assignment[name])
-            found = _variable_depths(nodes)
-            row = tuple(found.get(place, 0) for place in range(1, arity + 1))
-            out[name] = _Image(_table(nodes), row)
+        for name, image in self.assignment.items():
+            nodes = _order(image)
+            out[name] = _Image(_table(nodes), _variable_depths(nodes))
         return out
 
 
@@ -166,14 +164,16 @@ def is_full_hyp(h: Hypersubstitution) -> bool:
     return is_regular_hyp(h) and all(is_full(image) for image in h.assignment.values())
 
 
+def _is_regular_image(image: Term, n: int) -> bool:
+    """Whether ``image`` uses exactly x1..xn: n distinct indices, the largest n."""
+    vs = variables(image)
+    return len(vs) == n == max(vs)
+
+
 def is_regular_hyp(h: Hypersubstitution) -> bool:
-    """Whether every image uses exactly the variables x1..xn of its symbol:
-    n distinct indices whose largest is n, so no set of 1..n is built."""
-    for name, arity in h.signature.symbols.items():
-        vs = variables(h.assignment[name])
-        if not len(vs) == arity == max(vs):
-            return False
-    return True
+    """Whether every image uses exactly the variables x1..xn of its symbol."""
+    symbols = h.signature.symbols
+    return all(_is_regular_image(image, symbols[name]) for name, image in h.assignment.items())
 
 
 def hyp_depth(h: Hypersubstitution) -> int:

@@ -92,15 +92,15 @@ def beta(t: Term, i: int) -> int:
 def b_trace(h: Hypersubstitution, t: Term, i: int) -> BTrace:
     """The per-level contributions of ``h`` along the i-th occurrence path of ``t``.
 
-    Each b-value is read from the row of ``h``'s compiled image of the
-    symbol entered.
+    Each b-value is read from the depth map of ``h``'s compiled image of
+    the symbol entered: 0 for a place the image drops.
     """
     h.signature.validate_term(t)
     path = occurrence_path(t, i)
     images = h._images
     values = [0]
     for place, parent in zip(path.positions, path.chain[1:]):
-        values.append(images[parent.symbol].row[place - 1])  # type: ignore[union-attr]
+        values.append(images[parent.symbol].depths.get(place, 0))  # type: ignore[union-attr]
     return BTrace(
         occurrence_index=i,
         b_values=tuple(values),
@@ -119,10 +119,10 @@ def b_of(h: Hypersubstitution, t: Term) -> int:
     reports such cases as counterexamples).
 
     A longest path over the distinct nodes of ``t``, children first, with
-    ``best(x) = 0`` and ``best(f(t1..tn)) = max_p(row_f[p] + best(tp))``
-    (``row_f[p]`` is the b-value of place p under f, read from ``h``'s
-    compiled images); the nonzero-top filter applies only to the root's
-    edges.  The same pass checks ``t`` against the signature.
+    ``best(x) = 0`` and ``best(f(t1..tn)) = max_p(b_f(p) + best(tp))``, where
+    the b-value ``b_f(p) = depth_wrt(img_f, p)`` is read from ``h``'s compiled
+    images, 0 for a place the image drops; the nonzero-top filter applies
+    only to the root's edges.  The same pass checks ``t`` against the signature.
     """
     if type(t) is Var:
         return 0
@@ -136,13 +136,13 @@ def b_of(h: Hypersubstitution, t: Term) -> int:
         args = node.args  # type: ignore[attr-defined]
         if arities.get(node.symbol) != len(args):  # type: ignore[attr-defined]
             h.signature.validate_term(node)  # raises: the children already passed
-        row = images[node.symbol].row  # type: ignore[attr-defined]
+        depths = images[node.symbol].depths  # type: ignore[attr-defined]
         longest = 0
-        for b, a in zip(row, args):
-            v = b + best[id(a)]
+        for p, a in enumerate(args, 1):
+            v = depths.get(p, 0) + best[id(a)]
             if v > longest:
                 longest = v
         best[id(node)] = longest
-    root = zip(images[t.symbol].row, t.args)  # type: ignore[attr-defined]
-    return max([b + best[id(a)] for b, a in root if b] or [0])
+    root, args = images[t.symbol].depths, t.args  # type: ignore[attr-defined]
+    return max([b + best[id(args[p - 1])] for p, b in root.items() if b] or [0])
 

@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .hypersub import (
     Hypersubstitution,
     _hyp,
+    _is_regular_image,
     apply_hyp,
     compose_hyp,
     hyp_depth,
@@ -37,7 +38,7 @@ from .hypersub import (
 )
 from .occurrences import b_of
 from .superpose import is_full, predict_depth_full, predict_depth_general, superpose
-from .terms import App, Signature, Term, Var, _app, _check_int, _order, _run, _table, depth, variables
+from .terms import App, Signature, Term, Var, _app, _check_int, _order, _run, _table, depth
 from .textio import _render_input
 
 __all__ = [
@@ -275,10 +276,9 @@ def gen_full_hyp(cfg: GenConfig, sig: Signature, rng: random.Random) -> Hypersub
 
 def _gen_regular_image(cfg: GenConfig, sig: Signature, rng: random.Random, name: str) -> Term:
     n = sig.symbols[name]
-    want = set(range(1, n + 1))
     for _ in range(_REGULAR_ATTEMPTS):
         image = gen_term(cfg, sig, rng, var_pool=range(1, n + 1))
-        if variables(image) == want:
+        if _is_regular_image(image, n):
             return image
     # resampling hit the attempt cap; fall back to the identity-style image
     return App(name, tuple(Var(i) for i in range(1, n + 1)))
