@@ -6,24 +6,25 @@ signature.  Its extension rewrites a term bottom-up, superposing the image
 of each symbol onto the rewritten children while leaving variables fixed.
 Composition of hypersubstitutions and the identity make them a monoid.
 
-Each image is compiled once per hypersubstitution, on first use: one
-``_order`` listing of it feeds ``terms._table`` for its node table and
-``_variable_depths`` for the depth of each variable it keeps.  ``apply_hyp``
-runs one image table per distinct node of the term through ``terms._run``,
-and ``b_of`` and ``b_trace`` read those depth maps, so neither walks an
-image again; ``is_regular_hyp`` walks each image once per call.
+A hypersubstitution holds only its signature and its assignment.  Each
+fold lists each image the term uses once per call, the first time it meets
+that symbol: ``apply_hyp`` folds the listing into a node table
+(``terms._table``) and runs it once per distinct node of the term through
+``terms._run``; ``b_of`` and ``b_trace`` fold it into the depth of each
+variable the image keeps (``terms._variable_depths``).  An image whose
+symbol the term does not hold is never listed; ``is_regular_hyp`` walks
+each image once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .superpose import is_full
 from .terms import (
-    App, Signature, Term, Var, _order, _run, _table, _variable_depths, arity_bound, depth, variables
+    App, Signature, Term, Var, _order, _run, _table, arity_bound, depth, variables
 )
 
 __all__ = [
@@ -36,13 +37,6 @@ __all__ = [
     "is_regular_hyp",
     "predict_depth_full_hyp",
 ]
-
-
-class _Image(NamedTuple):
-    """What a hypersubstitution uses of one n-ary symbol's image."""
-
-    table: tuple[object, ...]  # the image's node table, over x1..xn
-    depths: dict[int, int]  # depth_wrt(image, p) for each p in variables(image)
 
 
 def _image_beyond_arity(name: str, image: Term, arity: int) -> str | None:
@@ -84,10 +78,10 @@ class Hypersubstitution:
         object.__setattr__(self, "assignment", MappingProxyType(table))
 
     def __reduce__(self) -> tuple[object, tuple[object, ...]]:
-        # through the public checks; the compiled images are not carried
+        # through the public checks, with a plain dict for the read-only view
         return Hypersubstitution, (self.signature, dict(self.assignment))
 
-    def __hash__(self) -> int:  # over the fields only, not the cached _images
+    def __hash__(self) -> int:  # a mappingproxy is not hashable
         return hash((self.signature, frozenset(self.assignment.items())))
 
     def image(self, name: str) -> Term:
@@ -95,18 +89,6 @@ class Hypersubstitution:
             return self.assignment[name]
         except KeyError:
             raise ValueError(f"unknown operation symbol {name!r}") from None
-
-    @cached_property
-    def _images(self) -> dict[str, _Image]:
-        # Built on first use, not in __post_init__: many hypersubstitutions
-        # are never applied or measured, such as a composite whose depth
-        # alone is read.  cached_property writes the instance __dict__,
-        # which the frozen dataclass leaves open.
-        out = {}
-        for name, image in self.assignment.items():
-            nodes = _order(image)
-            out[name] = _Image(_table(nodes), _variable_depths(nodes))
-        return out
 
 
 def _hyp(sig: Signature, images: dict[str, Term]) -> Hypersubstitution:
@@ -134,12 +116,13 @@ def apply_hyp(h: Hypersubstitution, t: Term) -> Term:
     """Extend ``h`` to the term ``t``.
 
     Variables stay fixed; every application ``f(...)`` becomes the image of
-    ``f`` superposed onto the rewritten children, by running ``f``'s
-    image table on them.  The result shares subterm objects, so
-    repeated arguments do not blow up memory.
+    ``f`` superposed onto the rewritten children, by running the node table
+    of ``f``'s image on them; each image the term uses is listed once per
+    call.  The result shares subterm objects, so repeated arguments do not
+    blow up memory.
     """
     arities = h.signature.symbols
-    images = h._images
+    tables: dict[str, tuple[object, ...]] = {}
     memo: dict[int, Term] = {}
     for node in _order(t):
         if type(node) is Var:
@@ -147,7 +130,10 @@ def apply_hyp(h: Hypersubstitution, t: Term) -> Term:
             continue
         if arities.get(node.symbol) != len(node.args):
             h.signature.validate_term(node)  # raises: the children already passed
-        memo[id(node)] = _run(images[node.symbol].table, [memo[id(a)] for a in node.args])
+        table = tables.get(node.symbol)
+        if table is None:
+            table = tables[node.symbol] = _table(_order(h.assignment[node.symbol]))
+        memo[id(node)] = _run(table, [memo[id(a)] for a in node.args])
     return memo[id(t)]
 
 

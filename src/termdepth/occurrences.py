@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hypersub import Hypersubstitution
-from .terms import App, Term, Var, _length_map, _order
+from .terms import App, Term, Var, _length_map, _order, _variable_depths
 
 __all__ = [
     "BTrace",
@@ -92,15 +92,20 @@ def beta(t: Term, i: int) -> int:
 def b_trace(h: Hypersubstitution, t: Term, i: int) -> BTrace:
     """The per-level contributions of ``h`` along the i-th occurrence path of ``t``.
 
-    Each b-value is read from the depth map of ``h``'s compiled image of
-    the symbol entered: 0 for a place the image drops.
+    Each b-value is read from the depth map of ``h``'s image of the symbol
+    entered, 0 for a place the image drops; each image the path uses is
+    listed once per call.
     """
     h.signature.validate_term(t)
     path = occurrence_path(t, i)
-    images = h._images
+    maps: dict[str, dict[int, int]] = {}
     values = [0]
     for place, parent in zip(path.positions, path.chain[1:]):
-        values.append(images[parent.symbol].depths.get(place, 0))  # type: ignore[union-attr]
+        symbol = parent.symbol  # type: ignore[attr-defined]
+        depths = maps.get(symbol)
+        if depths is None:
+            depths = maps[symbol] = _variable_depths(_order(h.assignment[symbol]))
+        values.append(depths.get(place, 0))
     return BTrace(
         occurrence_index=i,
         b_values=tuple(values),
@@ -120,29 +125,32 @@ def b_of(h: Hypersubstitution, t: Term) -> int:
 
     A longest path over the distinct nodes of ``t``, children first, with
     ``best(x) = 0`` and ``best(f(t1..tn)) = max_p(b_f(p) + best(tp))``, where
-    the b-value ``b_f(p) = depth_wrt(img_f, p)`` is read from ``h``'s compiled
-    images, 0 for a place the image drops; the nonzero-top filter applies
-    only to the root's edges.  The same pass checks ``t`` against the signature.
+    the b-value ``b_f(p) = depth_wrt(img_f, p)`` is read from the depth map of
+    ``img_f``, 0 for a place the image drops; each image the term uses is
+    listed once per call.  The nonzero-top filter applies only to the root's
+    edges.  The same pass checks ``t`` against the signature.
     """
     if type(t) is Var:
         return 0
     arities = h.signature.symbols
-    images = h._images
+    maps: dict[str, dict[int, int]] = {}
     best: dict[int, int] = {}
     for node in _order(t):
         if type(node) is Var:
             best[id(node)] = 0
             continue
-        args = node.args  # type: ignore[attr-defined]
-        if arities.get(node.symbol) != len(args):  # type: ignore[attr-defined]
+        symbol, args = node.symbol, node.args  # type: ignore[attr-defined]
+        if arities.get(symbol) != len(args):
             h.signature.validate_term(node)  # raises: the children already passed
-        depths = images[node.symbol].depths  # type: ignore[attr-defined]
+        depths = maps.get(symbol)
+        if depths is None:
+            depths = maps[symbol] = _variable_depths(_order(h.assignment[symbol]))
         longest = 0
         for p, a in enumerate(args, 1):
             v = depths.get(p, 0) + best[id(a)]
             if v > longest:
                 longest = v
         best[id(node)] = longest
-    root, args = images[t.symbol].depths, t.args  # type: ignore[attr-defined]
+    root, args = maps[t.symbol], t.args  # type: ignore[attr-defined]
     return max([b + best[id(args[p - 1])] for p, b in root.items() if b] or [0])
 

@@ -178,7 +178,8 @@ class TestPredicates:
         # A set of 1..10**9, or a row of 10**9 depths for the unused g, needs
         # GBs; under a 1 GiB address-space limit the predicates, apply_hyp,
         # b_of and b_trace must still answer, in a child process so a
-        # failure cannot take memory from anything else.
+        # failure cannot take memory from anything else.  Using h leaves
+        # nothing on it beyond its two fields.
         code = (
             "import resource\n"
             "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
@@ -189,13 +190,14 @@ class TestPredicates:
             "h = parse_hyp('f -> f(x2,x1)\\ng -> x1', sig)\n"
             "t = parse_term('f(x1,f(x1,x2))', sig)\n"
             "print(is_regular_hyp(h), is_full_hyp(h), render_term(apply_hyp(h, t)),\n"
-            "    b_of(h, t), b_trace(h, t, 2).b_sum)\n"
+            "    b_of(h, t), b_trace(h, t, 2).b_sum, sorted(vars(h)))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(termdepth.__file__).resolve().parents[1])}
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
-        assert (done.returncode, done.stdout) == (0, "False False f(f(x2,x1),x1) 2 2\n"), done.stderr
+        expected = "False False f(f(x2,x1),x1) 2 2 ['assignment', 'signature']\n"
+        assert (done.returncode, done.stdout) == (0, expected), done.stderr
 
     def test_full_maps_full_terms_to_full_terms_single_arity(self, sig2, sig3):
         from termdepth import gen_full_hyp, gen_full_term, is_full

@@ -64,7 +64,7 @@ def test_readme_cli_examples_print_what_they_show(capsys, tmp_path):
 def _applied_hyp():
     sig = termdepth.Signature({"f": 2, "g": 1})
     h = termdepth.parse_hyp("f -> f(x2,g(x1))\ng -> x1", sig)
-    termdepth.apply_hyp(h, termdepth.parse_term("f(g(x1),x2)", sig))  # compiles its images
+    termdepth.apply_hyp(h, termdepth.parse_term("f(g(x1),x2)", sig))
     return h
 
 

@@ -33,7 +33,7 @@ from termdepth import (
     variables,
     yield_word,
 )
-from termdepth.terms import _order, _run
+from termdepth.terms import _order, _run, _table, _variable_depths
 from termdepth.verify import _term_candidates
 
 import oracles
@@ -363,10 +363,10 @@ def test_generated_and_parsed_terms_hold_one_var_per_index(sig, max_depth, seed)
 
 
 @given(st.sampled_from(REPLAY_SIGS), st.integers(min_value=1, max_value=6), st.integers(0, 2**32))
-def test_image_records_give_the_depths_and_rebuild_the_image(sig, max_depth, seed):
+def test_image_views_give_the_depths_and_rebuild_the_image(sig, max_depth, seed):
     cfg = GenConfig(max_depth=max_depth, projection_rate=0.2, deletion_bias=0.3)
     h = gen_hyp(cfg, sig, random.Random(seed))
     for name, arity in sig.symbols.items():
-        image, record = h.assignment[name], h._images[name]
-        assert record.depths == {p: depth_wrt(image, p) for p in variables(image)}
-        assert _run(record.table, [Var(p) for p in range(1, arity + 1)]) == image
+        image = h.assignment[name]
+        assert _variable_depths(_order(image)) == {p: depth_wrt(image, p) for p in variables(image)}
+        assert _run(_table(_order(image)), [Var(p) for p in range(1, arity + 1)]) == image
