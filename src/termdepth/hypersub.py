@@ -6,21 +6,22 @@ signature.  Its extension rewrites a term bottom-up, superposing the image
 of each symbol onto the rewritten children while leaving variables fixed.
 Composition of hypersubstitutions and the identity make them a monoid.
 
-A hypersubstitution holds only its signature and its assignment.  Each
-fold lists each image the term uses once per call, the first time it meets
-that symbol: ``apply_hyp`` folds the listing into a node table
-(``terms._table``) and runs it once per distinct node of the term through
-``terms._run``; ``b_of`` and ``b_trace`` fold it into the depth of each
-variable the image keeps (``terms._variable_depths``).  An image whose
-symbol the term does not hold is never listed; ``is_regular_hyp`` walks
-each image once per call.
+A hypersubstitution holds only its signature and its assignment; its
+image terms, like any term, keep their own ``_order`` listings.  Each fold
+reads its view of an image from a per-call ``_Views`` map, which builds
+the view the first time the fold meets that symbol: ``apply_hyp`` reads
+the image's node table (``terms._table``) and runs it once per distinct
+node of the term through ``terms._run``; ``b_of`` and ``b_trace`` read the
+depth of each variable the image keeps (``terms._variable_depths``).  An
+image whose symbol the term does not hold gets no view; ``is_regular_hyp``
+walks each image once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .superpose import is_full
 from .terms import (
@@ -103,6 +104,23 @@ def _hyp(sig: Signature, images: dict[str, Term]) -> Hypersubstitution:
     return h
 
 
+class _Views(dict):
+    """A per-call map from each symbol of ``h`` to ``view(_order(image))``,
+    the view of its image that a fold reads, built the first time the fold
+    reads that symbol."""
+
+    __slots__ = ("images", "view")
+
+    def __init__(self, h: Hypersubstitution, view: Callable[[list[Term]], object]):
+        super().__init__()
+        self.images = h.assignment
+        self.view = view
+
+    def __missing__(self, symbol: str) -> object:
+        value = self[symbol] = self.view(_order(self.images[symbol]))
+        return value
+
+
 def identity_hyp(sig: Signature) -> Hypersubstitution:
     """The unit of composition: each n-ary ``f`` maps to ``f(x1,..,xn)``."""
     images = {
@@ -117,12 +135,12 @@ def apply_hyp(h: Hypersubstitution, t: Term) -> Term:
 
     Variables stay fixed; every application ``f(...)`` becomes the image of
     ``f`` superposed onto the rewritten children, by running the node table
-    of ``f``'s image on them; each image the term uses is listed once per
+    of ``f``'s image on them; each image the term uses is tabled once per
     call.  The result shares subterm objects, so repeated arguments do not
     blow up memory.
     """
     arities = h.signature.symbols
-    tables: dict[str, tuple[object, ...]] = {}
+    tables = _Views(h, _table)
     memo: dict[int, Term] = {}
     for node in _order(t):
         if type(node) is Var:
@@ -130,10 +148,7 @@ def apply_hyp(h: Hypersubstitution, t: Term) -> Term:
             continue
         if arities.get(node.symbol) != len(node.args):
             h.signature.validate_term(node)  # raises: the children already passed
-        table = tables.get(node.symbol)
-        if table is None:
-            table = tables[node.symbol] = _table(_order(h.assignment[node.symbol]))
-        memo[id(node)] = _run(table, [memo[id(a)] for a in node.args])
+        memo[id(node)] = _run(tables[node.symbol], [memo[id(a)] for a in node.args])
     return memo[id(t)]
 
 

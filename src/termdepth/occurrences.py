@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hypersub import Hypersubstitution
+from .hypersub import Hypersubstitution, _Views
 from .terms import App, Term, Var, _length_map, _order, _variable_depths
 
 __all__ = [
@@ -93,19 +93,15 @@ def b_trace(h: Hypersubstitution, t: Term, i: int) -> BTrace:
     """The per-level contributions of ``h`` along the i-th occurrence path of ``t``.
 
     Each b-value is read from the depth map of ``h``'s image of the symbol
-    entered, 0 for a place the image drops; each image the path uses is
-    listed once per call.
+    entered, 0 for a place the image drops; the depth map of each image the
+    path uses is built once per call.
     """
     h.signature.validate_term(t)
     path = occurrence_path(t, i)
-    maps: dict[str, dict[int, int]] = {}
+    maps = _Views(h, _variable_depths)
     values = [0]
     for place, parent in zip(path.positions, path.chain[1:]):
-        symbol = parent.symbol  # type: ignore[attr-defined]
-        depths = maps.get(symbol)
-        if depths is None:
-            depths = maps[symbol] = _variable_depths(_order(h.assignment[symbol]))
-        values.append(depths.get(place, 0))
+        values.append(maps[parent.symbol].get(place, 0))  # type: ignore[attr-defined]
     return BTrace(
         occurrence_index=i,
         b_values=tuple(values),
@@ -126,14 +122,15 @@ def b_of(h: Hypersubstitution, t: Term) -> int:
     A longest path over the distinct nodes of ``t``, children first, with
     ``best(x) = 0`` and ``best(f(t1..tn)) = max_p(b_f(p) + best(tp))``, where
     the b-value ``b_f(p) = depth_wrt(img_f, p)`` is read from the depth map of
-    ``img_f``, 0 for a place the image drops; each image the term uses is
-    listed once per call.  The nonzero-top filter applies only to the root's
-    edges.  The same pass checks ``t`` against the signature.
+    ``img_f``, 0 for a place the image drops; the depth map of each image
+    the term uses is built once per call.  The nonzero-top filter applies
+    only to the root's edges.  The same pass checks ``t`` against the
+    signature.
     """
     if type(t) is Var:
         return 0
     arities = h.signature.symbols
-    maps: dict[str, dict[int, int]] = {}
+    maps = _Views(h, _variable_depths)
     best: dict[int, int] = {}
     for node in _order(t):
         if type(node) is Var:
@@ -142,9 +139,7 @@ def b_of(h: Hypersubstitution, t: Term) -> int:
         symbol, args = node.symbol, node.args  # type: ignore[attr-defined]
         if arities.get(symbol) != len(args):
             h.signature.validate_term(node)  # raises: the children already passed
-        depths = maps.get(symbol)
-        if depths is None:
-            depths = maps[symbol] = _variable_depths(_order(h.assignment[symbol]))
+        depths = maps[symbol]
         longest = 0
         for p, a in enumerate(args, 1):
             v = depths.get(p, 0) + best[id(a)]

@@ -275,6 +275,18 @@ def test_postorder_keeps_the_reference_node_order(t):
 
 
 @given(shared_dags())
+def test_kept_listing_matches_a_fresh_walk_on_shared_dags(t):
+    # Every node is measured, so inner roots keep listings too; the root's
+    # kept listing is the reference order, and its node table is that of a
+    # fresh walk over an unmeasured copy of the same structure.
+    for node in oracles.postorder_reference(t):
+        _order(node)
+    expected = [id(n) for n in oracles.postorder_reference(t)]
+    assert [id(n) for n in _order(t)] == [id(n) for n in _order(t)] == expected
+    assert _table(_order(pickle.loads(pickle.dumps(t)))) == _table(_order(t))
+
+
+@given(shared_dags())
 def test_pickle_keeps_the_term_and_its_sharing(t):
     loaded = pickle.loads(pickle.dumps(t))
     assert loaded == t and hash(loaded) == hash(t)

@@ -1,7 +1,12 @@
 import copy
+import gc
+import os
 import pickle
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +42,8 @@ from termdepth import (
     variables,
     yield_word,
 )
+import termdepth
+from termdepth.terms import _order
 
 import oracles
 
@@ -110,6 +117,20 @@ class TestTermValues:
         with pytest.raises(AttributeError):
             t.args[0].index = 5
 
+    def test_reinitialising_a_built_term_raises(self, sig2):
+        x1, x2 = Var(1), Var(2)
+        a = App("f", (x1, x2))
+        p = App("g", (a,))
+        parsed = parse_term("f(x1,x2)", sig2)  # built without __init__
+        for node in (a, parsed):
+            with pytest.raises(AttributeError, match="terms are immutable"):
+                node.__init__("f", (App("f", (x1, x1)), x2))
+            assert (node.symbol, node.args, depth(node)) == ("f", (x1, x2), 1)
+        assert (render_term(p), depth(p)) == ("g(f(x1,x2))", 2)
+        with pytest.raises(AttributeError, match="terms are immutable"):
+            x1.__init__(7)
+        assert x1.index == 1
+
     def test_structural_equality_and_hash(self, sig2):
         a = parse_term("f(f(x1,x2),x1)", sig2)
         b = parse_term("f(f(x1,x2),x1)", sig2)
@@ -129,6 +150,31 @@ class TestTermValues:
 
         assert chain(30_000) == chain(30_000)
         assert chain(30_000) != chain(30_001)
+
+    def test_equality_is_near_linear_on_differently_shared_terms(self):
+        # Two equal full binary trees of depth 30, about 16k distinct nodes
+        # each, shared in different ways: a walk that visits each pair of
+        # nodes once meets a quadratic number of pairs (about 14 s on a
+        # 2-core machine), so the child process gets 5 s of CPU.
+        code = (
+            "import random, resource\n"
+            "hard = resource.getrlimit(resource.RLIMIT_CPU)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_CPU, (5, hard))\n"
+            "from termdepth import App, Var\n"
+            "def levels(seed):\n"
+            "    rng = random.Random(seed)\n"
+            "    prev = [Var(1)]\n"
+            "    for _ in range(30):\n"
+            "        prev = [App('f', (rng.choice(prev), rng.choice(prev))) for _ in range(1000)]\n"
+            "    return prev[0]\n"
+            "a, b = levels(1), levels(2)\n"
+            "print(a == b, b == a, a == App('f', (a.args[0], a.args[0].args[0])))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(termdepth.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (done.returncode, done.stdout) == (0, "True True False\n"), done.stderr
 
 
 class TestMeasures:
@@ -429,6 +475,49 @@ class TestCopyAndPickle:
         rebuild, _ = Var(1).__reduce__()
         with pytest.raises(ValueError, match=message):
             rebuild(table)
+
+
+class TestNodeListing:
+    """``_order`` keeps each measured root's listing in its ``_below`` slot."""
+
+    def test_a_measured_term_is_freed_by_reference_counting(self, sig2):
+        # The listing must not hold its own root: a cycle would leave every
+        # measured term to the cyclic collector.
+        h = parse_hyp("f -> f(x2,x1)", sig2)
+        gc.collect()
+        gc.disable()
+        try:
+            t = parse_term("f(f(x1,x2),f(x2,f(x1,x1)))", sig2)
+            shared = App("f", (t, t))
+            for u in (t, shared, t.args[0]):
+                depth(u), depth_wrt(u, 1), variables(u), arity_bound(u), length(u)
+                depth_report(u), list(postorder(u)), yield_word(u), hash(u), repr(u)
+                u == pickle.loads(pickle.dumps(u)), apply_hyp(h, u), b_of(h, u), b_trace(h, u, 1)
+            assert t._below and shared._below
+            del t, shared, u
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_each_call_returns_a_fresh_list(self, sig2):
+        t = parse_term("f(f(x1,x2),f(x1,x2))", sig2)
+        expected = [id(n) for n in oracles.postorder_reference(t)]
+        first, second = _order(t), _order(t)  # a walk, then the kept listing
+        assert first is not second
+        assert [id(n) for n in first] == [id(n) for n in second] == expected
+        first.append(Var(9))
+        first[0] = t
+        assert [id(n) for n in second] == [id(n) for n in _order(t)] == expected
+        x = Var(1)
+        assert _order(x) == [x] and _order(x) is not _order(x)
+
+    def test_pickle_bytes_do_not_change_when_a_term_is_measured(self, sig2):
+        t = parse_term("f(f(x1,x2),f(x2,f(x1,x1)))", sig2)
+        before = pickle.dumps(t)
+        variables(t), depth_wrt(t, 2), length(t)
+        assert t._below
+        assert pickle.dumps(t) == before
+        assert pickle.loads(before).__reduce__() == t.__reduce__()
 
 
 SIG_FG = Signature({"f": 2, "g": 1})
