@@ -9,10 +9,11 @@ Composition of hypersubstitutions and the identity make them a monoid.
 A hypersubstitution holds only its signature and its assignment; its
 image terms, like any term, keep their own ``_order`` listings.  Each fold
 reads its view of an image from a per-call ``_Views`` map, which builds
-the view the first time the fold meets that symbol: ``apply_hyp`` reads
-the image's node table (``terms._table``) and runs it once per distinct
-node of the term through ``terms._run``; ``b_of`` and ``b_trace`` read the
-depth of each variable the image keeps (``terms._variable_depths``).  An
+the view, a fold that takes the image term, the first time the fold meets
+that symbol: ``apply_hyp`` reads the node table ``terms._table(image)``
+and runs it once per distinct node of the term through ``terms._run``;
+``b_of`` and ``b_trace`` read ``terms._variable_depths(image)``, the depth
+of each variable the image keeps.  An
 image whose symbol the term does not hold gets no view; ``is_regular_hyp``
 walks each image once per call.
 """
@@ -105,19 +106,19 @@ def _hyp(sig: Signature, images: dict[str, Term]) -> Hypersubstitution:
 
 
 class _Views(dict):
-    """A per-call map from each symbol of ``h`` to ``view(_order(image))``,
-    the view of its image that a fold reads, built the first time the fold
+    """A per-call map from each symbol of ``h`` to ``view(image)``, the
+    view of its image term that a fold reads, built the first time the fold
     reads that symbol."""
 
     __slots__ = ("images", "view")
 
-    def __init__(self, h: Hypersubstitution, view: Callable[[list[Term]], object]):
+    def __init__(self, h: Hypersubstitution, view: Callable[[Term], object]):
         super().__init__()
         self.images = h.assignment
         self.view = view
 
     def __missing__(self, symbol: str) -> object:
-        value = self[symbol] = self.view(_order(self.images[symbol]))
+        value = self[symbol] = self.view(self.images[symbol])
         return value
 
 

@@ -28,7 +28,7 @@ def superpose(s: Term, ts: Sequence[Term]) -> Term:
     nodes even when its unfolded tree is huge.
     """
     ts = _argument_terms(ts)
-    table = _table(_order(s))
+    table = _table(s)
     _check_n_ary(max([entry for entry in table if type(entry) is not tuple]), len(ts), "outer term")
     return _run(table, ts)
 
@@ -82,6 +82,6 @@ def predict_depth_general(s: Term, ts: Sequence[Term]) -> int:
     ``x_j`` occurring in ``s``.
     """
     ts = _argument_terms(ts)
-    found = _variable_depths(_order(s))
+    found = _variable_depths(s)
     _check_n_ary(max(found), len(ts), "outer term")
     return max(d + depth(ts[j - 1]) for j, d in found.items())

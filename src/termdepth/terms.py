@@ -11,10 +11,11 @@ and generated terms hold one ``Var`` object per variable index, and ``Var``
 checks its index by the package's one integer rule, ``_check_int``.  Each
 node caches its depth when it is built, so ``depth`` takes O(1) time.
 Every other measure, the structural hash and ``arity_bound`` included, is
-a fold over the distinct nodes, in one idiom, ``for node in _order(t):
-memo[id(node)] = ...``: ``_order`` lists each distinct node once, children
-first, from one explicit stack, and ``variables`` collects its set from
-the same list.  A first call on a root is linear in its distinct nodes.
+a fold over the distinct nodes of the term it takes, in one idiom,
+``for node in _order(t): memo[id(node)] = ...``: ``_order`` lists each
+distinct node once, children first, from one explicit stack, and
+``variables`` collects its set from the same list.  A first call on a root
+is linear in its distinct nodes.
 
 The first ``_order`` walk of an ``App`` keeps the listing on that node: its
 ``_below`` slot, empty when the node is built, gets the tuple of the
@@ -33,8 +34,8 @@ heavily shared ones are safe.  ``repr`` renders at most 121 tokens, enough
 for the 120 characters it shows, so it is cheap on any term.
 
 Being immutable, a term is its own copy: ``copy.copy`` and
-``copy.deepcopy`` return it unchanged.  ``_table`` encodes a term as its
-distinct nodes in ``_order``, and ``_run`` rebuilds one with other terms
+``copy.deepcopy`` return it unchanged.  ``_table(t)`` encodes ``t`` as
+its distinct nodes in ``_order``, and ``_run`` rebuilds one with other terms
 plugged in for its variables; composition, hypersubstitution and
 shrinking all rebuild terms that way.  A term pickles as its table, never
 its kept listing, so the pickle is linear in the distinct nodes;
@@ -175,7 +176,7 @@ class Term:
         return self
 
     def __reduce__(self) -> tuple[object, tuple[object, ...]]:
-        return _from_table, (_table(_order(self)),)
+        return _from_table, (_table(self),)
 
 
 class Var(Term):
@@ -250,13 +251,13 @@ def _app(symbol: str, args: tuple[Term, ...]) -> App:
     return node
 
 
-def _table(nodes: list[Term]) -> tuple[object, ...]:
-    """The node table of a term, folding its ``_order`` list ``nodes``: one
-    entry per node, a ``Var``'s index or an ``App``'s ``(symbol, places)``,
+def _table(t: Term) -> tuple[object, ...]:
+    """The node table of ``t``, a fold over its ``_order`` list: one entry
+    per distinct node, a ``Var``'s index or an ``App``'s ``(symbol, places)``,
     the table positions of its arguments; the root comes last."""
     place: dict[int, int] = {}
     table: list[object] = []
-    for node in nodes:
+    for node in _order(t):
         place[id(node)] = len(table)
         if type(node) is Var:
             table.append(node.index)
@@ -423,18 +424,18 @@ def postorder(t: Term) -> Iterator[Term]:
     return iter(_order(t))
 
 
-def _variable_depths(nodes: list[Term]) -> dict[int, int]:
-    """Map every variable index l of a term to ``depth_wrt(t, l)``, folding
-    its ``_order`` list ``nodes`` (the root ``t`` is ``nodes[-1]``).
+def _variable_depths(t: Term) -> dict[int, int]:
+    """Map every variable index l of ``t`` to ``depth_wrt(t, l)``, a fold
+    over its ``_order`` list.
 
     ``depth_wrt(t, l)`` is the longest root-to-leaf path that ends at an
-    ``x_l`` leaf.  Visiting distinct nodes parents-first (reversed
-    ``nodes``) and handing each child its longest distance from the root
+    ``x_l`` leaf.  Visiting distinct nodes parents-first (the list
+    reversed) and handing each child its longest distance from the root
     finds all of them at once, in time linear in the distinct nodes.
     """
-    dist = {id(nodes[-1]): 0}
+    dist = {id(t): 0}
     out: dict[int, int] = {}
-    for node in reversed(nodes):
+    for node in reversed(_order(t)):
         d = dist[id(node)]
         if type(node) is Var:
             if out.get(node.index, -1) < d:
@@ -482,7 +483,7 @@ def depth_wrt(t: Term, l: int) -> int:
     1 + the maximum over the children that contain ``x_l``.
     """
     _check_int(l, "variable index", 1)
-    return _variable_depths(_order(t)).get(l, 0)
+    return _variable_depths(t).get(l, 0)
 
 
 def yield_word(t: Term) -> list[int]:
@@ -547,7 +548,7 @@ def depth_report(t: Term, n: int | None = None) -> DepthReport:
     """
     if n is not None:
         _check_int(n, "arity n", None)
-    found = _variable_depths(_order(t))
+    found = _variable_depths(t)
     bound = max(found)
     if n is None:
         n = bound

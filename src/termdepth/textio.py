@@ -68,6 +68,9 @@ class ParseError(ValueError):
         self.message = message
         self.span = span
 
+    def __reduce__(self) -> tuple[object, tuple[object, ...]]:
+        return ParseError, (self.message, self.span)
+
 
 def _error(message: str, text: str, start: int, end: int) -> ParseError:
     """A ParseError spanning the characters ``text[start:end]``.

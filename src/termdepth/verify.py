@@ -329,15 +329,14 @@ def _term_candidates(t: Term) -> Iterator[Term]:
     if type(t) is Var:
         return
     yield from t.args  # type: ignore[union-attr]
-    nodes = _order(t)
-    table = list(_table(nodes))
+    table = list(_table(t))
     least: list[int] = []  # each entry's least variable index
     for entry in table:
         if type(entry) is tuple:
             least.append(min([least[k] for k in entry[1]]))
         else:
             least.append(entry)  # type: ignore[arg-type]
-    leaves = {node.index - 1: node for node in nodes if type(node) is Var}  # type: ignore[attr-defined]
+    leaves = {node.index - 1: node for node in _order(t) if type(node) is Var}  # type: ignore[attr-defined]
     for k in range(len(table) - 1, -1, -1):
         entry = table[k]
         if type(entry) is tuple:
@@ -346,35 +345,30 @@ def _term_candidates(t: Term) -> Iterator[Term]:
             table[k] = entry
 
 
-def _hyp_candidates(h: Hypersubstitution) -> Iterator[Hypersubstitution]:
-    for name in h.signature.symbols:
-        for candidate in _term_candidates(h.assignment[name]):
-            images = dict(h.assignment)
-            images[name] = candidate
-            yield _hyp(h.signature, images)
+def _candidates(slots: Slots) -> Iterator[Slots]:
+    """Each slot map one shrink step smaller, slot by slot, keeping the key
+    order; a hypersubstitution slot shrinks its images in signature order."""
+    for key, value in slots.items():
+        if isinstance(value, Hypersubstitution):
+            sig, images = value.signature, value.assignment
+            for name in sig.symbols:
+                for image in _term_candidates(images[name]):
+                    yield {**slots, key: _hyp(sig, {**images, name: image})}
+        else:
+            for candidate in _term_candidates(value):  # type: ignore[arg-type]
+                yield {**slots, key: candidate}
 
 
 def _greedy_shrink(slots: Slots, fails: Callable[[Slots], bool]) -> Slots:
-    # Every accepted candidate strictly reduces total node count, so this
-    # terminates.
-    improved = True
-    while improved:
-        improved = False
-        for key, value in slots.items():
-            if isinstance(value, Hypersubstitution):
-                candidates: Iterator[object] = _hyp_candidates(value)
-            else:
-                candidates = _term_candidates(value)  # type: ignore[arg-type]
-            for candidate in candidates:
-                trial = dict(slots)
-                trial[key] = candidate
-                if fails(trial):
-                    slots = trial
-                    improved = True
-                    break
-            if improved:
+    # Take the first candidate that still fails until none does; each has
+    # strictly fewer nodes in total, so this terminates.
+    while True:
+        for trial in _candidates(slots):
+            if fails(trial):
+                slots = trial
                 break
-    return slots
+        else:
+            return slots
 
 
 # ---------------------------------------------------------------------------

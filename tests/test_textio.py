@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 import time
 
@@ -125,6 +127,15 @@ class TestParseTerm:
             parse_term(text, sig2)
         span = info.value.span
         assert text[span.start : span.end] == "9" * 5000
+
+    def test_error_pickles_and_copies(self, sig2):
+        with pytest.raises(ParseError) as info:
+            parse_term("f(x1", sig2)
+        e = info.value
+        assert str(e) == "expected ',' or ')' (bytes 4..4)"
+        for twin in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+            assert type(twin) is ParseError
+            assert (str(twin), twin.message, twin.span) == (str(e), e.message, e.span)
 
     def test_spans_are_byte_offsets(self, sig2):
         # the comment before the term carries a multi-byte character

@@ -28,7 +28,7 @@ from termdepth import (
     trial_stream,
     variables,
 )
-from termdepth.verify import _LAWS, _REGULAR_ATTEMPTS, _greedy_shrink, _term_candidates
+from termdepth.verify import _LAWS, _REGULAR_ATTEMPTS, _Law, _greedy_shrink, _term_candidates
 
 
 class TestGenConfig:
@@ -273,6 +273,48 @@ class TestCheckTheorem:
 
         assert _greedy_shrink({"t": t}, fails)["t"] is t
         assert len(calls) == 66
+
+    @pytest.mark.parametrize(
+        "kind, trials, cfg, records, calls",
+        [
+            (
+                "thm5.1",
+                400,
+                GenConfig(seed=5, max_depth=4, var_bound=3, projection_rate=0.2, deletion_bias=0.3),
+                57,
+                2130,
+            ),
+            # shrinks hypersubstitution slots
+            ("lemma4.2", 100, GenConfig(seed=5, max_depth=3), 42, 1741),
+        ],
+    )
+    def test_shrink_effort_is_pinned(self, sig23, monkeypatch, kind, trials, cfg, records, calls):
+        count = 0
+        fails = _Law.fails
+
+        def counted(law, sig, slots):
+            nonlocal count
+            count += 1
+            return fails(law, sig, slots)
+
+        monkeypatch.setattr(_Law, "fails", counted)
+        assert len(check_theorem(kind, trials, cfg, sig23)) == records
+        assert count == calls
+
+    def test_hyp_slot_shrinks_its_images_in_signature_order(self, sig23):
+        # the file lists f2 first; candidates follow the signature, f1 first
+        h = parse_hyp("f2 -> f2(x1,x2,x3)\nf1 -> f1(x1,x2)", sig23)
+        trials = []
+
+        def record(slots):
+            trials.append(slots)
+            return False
+
+        assert _greedy_shrink({"sigma": h}, record) == {"sigma": h}
+        changed = [
+            [name for name in sig23.symbols if t["sigma"].image(name) != h.image(name)] for t in trials
+        ]
+        assert changed == [["f1"]] * 3 + [["f2"]] * 4
 
     def test_pinned_mixed_arity_closure_counterexample(self, sig23):
         h1 = parse_hyp("f1 -> f1(x2,x1)\nf2 -> f1(f2(x2,x1,x3),f1(x2,x1))", sig23)
